@@ -9,6 +9,8 @@ the replicates are batched.
 from __future__ import annotations
 
 import os
+import uuid
+import zipfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -28,7 +30,7 @@ from .families import (
 from .stat import batch_statistics, l_constant, lambda_table, statistic
 
 #: Bump when the statistic implementation changes; cached nulls are keyed on it.
-STATISTIC_CODE_VERSION = "1"
+STATISTIC_CODE_VERSION = "2"
 
 #: Replicates per work unit. Fixed so that the chunk layout (and therefore
 #: every floating-point reduction) is independent of the worker count.
@@ -419,39 +421,55 @@ class NullCache:
         return os.path.join(self.directory, name)
 
     def load(self, family, n, gamma, replicates, seed) -> NullDistribution | None:
+        """The cached null for these parameters, or None on a miss.
+
+        A file that cannot be read back whole (empty, truncated, corrupt or
+        missing a field) is a miss too; the next save replaces it.
+        """
         path = self._path(family, n, gamma, replicates, seed)
         if not os.path.exists(path):
             return None
-        with np.load(path) as payload:
-            header_ok = (
-                str(payload["family"]) == family.value
-                and int(payload["n"]) == n
-                and float(payload["gamma"]) == float(gamma)
-                and int(payload["replicates"]) == replicates
-                and int(payload["seed"]) == seed
-                and str(payload["version"]) == STATISTIC_CODE_VERSION
-            )
-            if not header_ok:
-                return None
-            return NullDistribution(
-                family=family, n=n, gamma=float(gamma), replicates=replicates,
-                sorted_stats=payload["sorted_stats"].copy(), seed=seed,
-                redraws=int(payload["redraws"]),
-            )
+        try:
+            with np.load(path) as payload:
+                header_ok = (
+                    str(payload["family"]) == family.value
+                    and int(payload["n"]) == n
+                    and float(payload["gamma"]) == float(gamma)
+                    and int(payload["replicates"]) == replicates
+                    and int(payload["seed"]) == seed
+                    and str(payload["version"]) == STATISTIC_CODE_VERSION
+                )
+                if not header_ok:
+                    return None
+                return NullDistribution(
+                    family=family, n=n, gamma=float(gamma), replicates=replicates,
+                    sorted_stats=payload["sorted_stats"].copy(), seed=seed,
+                    redraws=int(payload["redraws"]),
+                )
+        except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile):
+            return None
 
     def save(self, null: NullDistribution) -> str:
         path = self._path(null.family, null.n, null.gamma, null.replicates, null.seed)
-        tmp = path + ".tmp.npz"
-        np.savez(
-            tmp,
-            family=null.family.value,
-            n=null.n,
-            gamma=np.float64(null.gamma),
-            replicates=null.replicates,
-            seed=null.seed,
-            version=STATISTIC_CODE_VERSION,
-            redraws=null.redraws,
-            sorted_stats=null.sorted_stats,
-        )
-        os.replace(tmp, path)
+        # Each writer fills its own temp file and renames it into place, so
+        # processes sharing the directory never see or clobber a partial file.
+        tmp = f"{path}.{uuid.uuid4().hex}.tmp"
+        try:
+            with open(tmp, "xb") as fh:
+                np.savez(
+                    fh,
+                    family=null.family.value,
+                    n=null.n,
+                    gamma=np.float64(null.gamma),
+                    replicates=null.replicates,
+                    seed=null.seed,
+                    version=STATISTIC_CODE_VERSION,
+                    redraws=null.redraws,
+                    sorted_stats=null.sorted_stats,
+                )
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
         return path

@@ -8,15 +8,16 @@ with K(z1,z2) = int min(1,t z1) min(1,t z2) e^(-gamma t) dt (family-free,
 closed form), L = int psi0(t)^2 e^(-gamma t) dt (per family, closed up to one
 residual quadrature) and lam(z) = int min(1,t z) psi0(t) e^(-gamma t) dt.
 
-Two evaluation routes exist for lam:
+Each family evaluates lam by one route, shared by :func:`small_lambda` (one
+point, used by :func:`statistic`) and :func:`lambda_table` (vectorized, used
+by :func:`batch_statistics` in the Monte Carlo engine):
 
-* :func:`small_lambda` - the reference route: closed-form pieces plus
-  adaptive quadrature for the incomplete integrals, accurate to ~1e-10.
-* :func:`lambda_table` - a fast vectorized route for the Monte Carlo engine:
-  exact closed forms for the Pareto family, piecewise-Chebyshev tables (built
-  once per (family, gamma) from the reference route) with analytic tails for
-  Weibull and Frechet. Agreement with the reference route is a tested
-  invariant.
+* Pareto and Frechet - closed forms through E1 and regularized incomplete
+  gammas, with power series where those forms cancel.
+* Weibull - int t^2 e^(-1/t - gamma t) dt has no elementary form, so one
+  bounded quadrature gives single values, and the table fits
+  piecewise-Chebyshev panels to it once per gamma, with the exact linear
+  asymptote below the panels and an analytic tail above them.
 
 :func:`statistic_direct` evaluates the defining integral
 n*int (psi_n - psi0)^2 e^(-gamma t) dt by quadrature and serves as the
@@ -26,10 +27,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
+from numpy.polynomial import polynomial as _poly
 from scipy import optimize as _opt
 from scipy import special as _sp
 
@@ -146,56 +148,86 @@ def l_constant(family: Family, gamma: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# lam(z): reference route (closed pieces + adaptive quadrature).
+# lam(z): one route per family.
 # ---------------------------------------------------------------------------
 
+#: Terms of the power series used where a closed form cancels (g*a <= 2).
+_SERIES_TERMS = 30
+
 def small_lambda(family: Family, gamma: float, z: float) -> float:
-    """lam(z) = int_0^inf min(1, t z) psi0(t) e^(-gamma t) dt, reference route."""
+    """lam(z) = int_0^inf min(1, t z) psi0(t) e^(-gamma t) dt at one point.
+
+    Pareto and Frechet evaluate their closed forms; Weibull runs the bounded
+    quadrature that the panels of :func:`lambda_table` are fitted to.
+    """
     g = _check_gamma(gamma)
     z = float(z)
     if not (z > 0 and np.isfinite(z)):
         raise DomainError(f"lambda argument must be positive, got {z!r}")
-
     if family is Family.WEIBULL:
-        closed = _weibull_lambda_closed(g, z)
-        a = 1.0 / z
-        m1 = integrate(
-            lambda t: t * t * np.exp(-1.0 / t - g * t), 0.0, a, _LAMBDA_QUAD
-        ).value if a > 1e-300 else 0.0
-        m2 = integrate(
-            lambda t: t * np.exp(-1.0 / t - g * t), a, np.inf, _LAMBDA_QUAD
-        ).value
-        return closed - (z * m1 + m2)
+        return _lambda_via_complement(g, z, lambda_complete(family, g))
+    return float(_lambda_closed(family, g, np.array([z]))[0])
 
+
+def _lambda_closed(family: Family, g: float, z: np.ndarray) -> np.ndarray:
+    """lam over an array of z > 0 for the families with a closed form."""
     if family is Family.PARETO:
-        if z <= 1.0:
-            return float(_pareto_lambda_low(g, np.asarray([z]))[0])
-        a = 1.0 / z
-        m1 = integrate(
-            lambda t: t * t * np.log(t) * np.exp(-g * t), 0.0, a, _LAMBDA_QUAD
-        ).value
-        m2 = integrate(
-            lambda t: t * np.log(t) * np.exp(-g * t), a, 1.0, _LAMBDA_QUAD
-        ).value if a < 1.0 else 0.0
-        return _pareto_lambda_high_closed(g, z, m1, m2)
-
+        out = np.empty_like(z)
+        low = z <= 1.0
+        out[low] = _pareto_lambda_low(g, z[low])
+        out[~low] = _pareto_lambda_high(g, z[~low])
+        return out
     if family is Family.FRECHET:
-        a = 1.0 / z
-        m1 = integrate(
-            lambda t: t * t * exp_integral_e1(t) * np.exp(-g * t), 0.0, a, _LAMBDA_QUAD
-        ).value
-        m2 = integrate(
-            lambda t: t * exp_integral_e1(t) * np.exp(-g * t), a, np.inf, _LAMBDA_QUAD
-        ).value
-        return _frechet_lambda_closed(g, z) + z * m1 + m2
-
+        return _frechet_lambda(g, z)
     raise DomainError(f"unknown family {family!r}")
 
 
-def _weibull_lambda_closed(g, z):
-    """(2z - e^(-g/z)(g + 2z)) / g^3, written cancellation-free."""
-    u = g / z
-    return (-2.0 * z * np.expm1(-u) - g * np.exp(-u)) / g ** 3
+def _frechet_lambda(g, z):
+    """Frechet lam(z), psi0(t) = 1 - e^(-t) + t E1(t), vectorized over z > 0.
+
+    With a = 1/z and I_k(a) = int_0^a t^k e^(-g t) E1(t) dt,
+    lam = _frechet_lambda_closed(g, z) + z I_2(a) + int_a^inf t e^(-g t) E1(t) dt,
+    the first term being the elementary part from 1 - e^(-t).
+    Integrating by parts against E1'(t) = -e^(-t)/t writes I_k and the tail
+    through E1 and regularized incomplete gammas. That form cancels for
+    small a, so for a <= min(0.5, 2/g) the series
+    e^(-g t) E1(t) = e^(-g t) (Ein(t) - EULER_GAMMA - log t), which converges
+    fast there, is integrated term by term instead.
+    """
+    a = 1.0 / z
+    out = _frechet_lambda_closed(g, z)
+    r = g / (1.0 + g)
+    series = a <= min(0.5, 2.0 / g)
+    if np.any(series):
+        m1 = (math.log1p(g) - r) / g ** 2
+        a_s = a[series]
+        out[series] += (z[series] * _frechet_moment_series(g, a_s, 2)
+                        + m1 - _frechet_moment_series(g, a_s, 1))
+    big = ~series
+    if np.any(big):
+        a_b = a[big]
+        e1a = exp_integral_e1(a_b)
+        e1b = exp_integral_e1((1.0 + g) * a_b)
+        q = np.exp(-(1.0 + g) * a_b)
+        i2 = 2.0 * (
+            math.log1p(g) - _sp.gammaincc(3.0, g * a_b) * e1a + e1b
+            - r * (1.0 - q) - 0.5 * r * r * _sp.gammainc(2.0, (1.0 + g) * a_b)
+        ) / g ** 3
+        tail1 = (_sp.gammaincc(2.0, g * a_b) * e1a - e1b - r * q) / g ** 2
+        out[big] += z[big] * i2 + tail1
+    return out
+
+
+def _frechet_moment_series(g, a, k):
+    """I_k(a) = int_0^a t^k e^(-g t) E1(t) dt by series (a <= 0.5, g*a <= 2)."""
+    j = np.arange(_SERIES_TERMS)
+    # Taylor coefficients of Ein(t) - EULER_GAMMA, Ein(t) = sum (-1)^(j+1) t^j/(j j!).
+    ein = np.empty(_SERIES_TERMS)
+    ein[0] = -EULER_GAMMA
+    ein[1:] = (-1.0) ** (j[1:] + 1) / (j[1:] * _sp.factorial(j[1:]))
+    prod = np.convolve(ein, (-g) ** j / _sp.factorial(j))[:_SERIES_TERMS]
+    power_part = a ** (k + 1.0) * _poly.polyval(a, prod / (k + 1.0 + j))
+    return power_part - _poly_log_moment(g, a, k)
 
 
 def _frechet_lambda_closed(g, z):
@@ -214,13 +246,14 @@ def _pareto_lambda_low(g, z):
     return z * c1 + z * (eg * (1.0 + g) - np.exp(-g / z)) / (g * g)
 
 
-def _pareto_lambda_high_closed(g, z, m1, m2):
-    """Pareto branch for z > 1 given the two incomplete log-moment integrals."""
+def _pareto_lambda_high(g, z):
+    """Pareto branch for z > 1 (closed form through the log-moment integrals)."""
+    a = 1.0 / z
     u = g / z
     eu = np.exp(-u)
     t1 = (-2.0 * z * np.expm1(-u) - eu * (2.0 * g + g * g / z)) / g ** 3
     t2 = eu * (g + z) / (g * g * z)
-    return t1 + t2 - math.exp(-g) / g ** 2 - z * m1 - m2
+    return t1 + t2 - math.exp(-g) / g ** 2 - z * _pareto_m1(g, a) - _pareto_m2(g, a)
 
 
 # Closed forms of the Pareto log-moment integrals via E1, plus series
@@ -268,12 +301,12 @@ def _pareto_m2(g, a):
     return out
 
 
-def _poly_log_moment(g, a, p, terms=30):
-    """int_0^a t^p log t e^(-g t) dt by the exponential series (g*a <= 1)."""
+def _poly_log_moment(g, a, p):
+    """int_0^a t^p log t e^(-g t) dt by the exponential series (g*a <= 2)."""
     la = np.log(a)
     acc = np.zeros_like(a)
     coef = np.ones_like(a)
-    for k in range(terms):
+    for k in range(_SERIES_TERMS):
         q = p + k + 1.0
         acc += coef * (la / q - 1.0 / (q * q))
         coef *= -g * a / (k + 1.0)
@@ -281,7 +314,7 @@ def _poly_log_moment(g, a, p, terms=30):
 
 
 # ---------------------------------------------------------------------------
-# lam(z): fast vectorized route.
+# lam(z): vectorized evaluator for the Monte Carlo engine.
 # ---------------------------------------------------------------------------
 
 def lambda_complete(family: Family, gamma: float) -> float:
@@ -296,72 +329,64 @@ def lambda_complete(family: Family, gamma: float) -> float:
     raise DomainError(f"unknown family {family!r}")
 
 
-def lambda_slope(family: Family, gamma: float) -> float:
-    """Limit of lam(z)/z as z -> 0: int_0^inf t psi0(t) e^(-gamma t) dt."""
-    g = _check_gamma(gamma)
-    if family is Family.WEIBULL:
-        return 2.0 / g ** 3 - 2.0 * bessel_k(3.0, 2.0 * math.sqrt(g)) / g ** 1.5
-    if family is Family.PARETO:
-        head = (2.0 - math.exp(-g) * (g * g + 2.0 * g + 2.0)) / g ** 3
-        j1 = float(_pareto_m1(g, np.asarray([1.0]))[0])
-        return head - j1 + math.exp(-g) * (g + 1.0) / g ** 2
-    if family is Family.FRECHET:
-        s = g
-        l2 = (
-            -(1.0 + 2.0 * s) / (s * s * (1.0 + s) ** 2)
-            - 1.0 / (s * s * (1.0 + s))
-            + 2.0 * math.log1p(s) / s ** 3
-        )
-        return 1.0 / g ** 2 - 1.0 / (1.0 + g) ** 2 + l2
-    raise DomainError(f"unknown family {family!r}")
-
-
 _CHEB_DEG = 14
 _CHEB_TEST = np.array([-0.971, -0.683, -0.317, 0.089, 0.459, 0.823, 0.987])
-_Z_CAP = 1e7
-_BUILD_QUAD = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-16, max_subdivisions=2000)
+_WEIBULL_QUAD = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-16, max_subdivisions=2000)
 
 
-def _lambda_via_complement(family: Family, g: float, z: float, lam_inf: float) -> float:
-    """lam(z) = lam_inf - int_0^(1/z) (1 - z t) psi0(t) e^(-g t) dt.
+def _lambda_via_complement(g: float, z: float, lam_inf: float) -> float:
+    """Weibull lam(z) = lam_inf - int_0^(1/z) (1 - z t) psi0(t) e^(-g t) dt.
 
-    Single bounded quadrature; used to build the interpolation tables
-    (cheaper than the reference route, equally exact).
+    A single bounded quadrature: the value :func:`small_lambda` returns and
+    the function the Chebyshev panels of :func:`lambda_table` are fitted to.
     """
     def integrand(t):
-        return (1.0 - z * t) * null_min_cf(family, t) * np.exp(-g * t)
+        return (1.0 - z * t) * null_min_cf(Family.WEIBULL, t) * np.exp(-g * t)
 
-    return lam_inf - integrate(integrand, 0.0, 1.0 / z, _BUILD_QUAD).value
+    return lam_inf - integrate(integrand, 0.0, 1.0 / z, _WEIBULL_QUAD).value
 
 
 @dataclass(frozen=True)
 class LambdaTable:
     """Vectorized evaluator of lam(z) for one (family, gamma).
 
-    Piecewise Chebyshev fit of lam(e^u) on [log z_lo, log z_hi]; below z_lo
-    the exact linear asymptote applies, above z_hi an analytic tail.
+    Pareto and Frechet evaluate their closed forms and carry no panels. For
+    Weibull, a piecewise Chebyshev fit of lam(e^u) covers [log z_lo, log z_hi];
+    below z_lo the exact linear asymptote applies, above z_hi an analytic
+    tail.
     """
 
     family: Family
     gamma: float
-    z_lo: float
-    z_hi: float
-    slope: float
     lam_inf: float
-    edges: np.ndarray
-    coeffs: np.ndarray
+    z_lo: float = 0.0
+    z_hi: float = math.inf
+    slope: float = math.nan
+    edges: np.ndarray = field(default_factory=lambda: np.empty(0))
+    coeffs: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
 
     def __call__(self, z):
         z = np.asarray(z, dtype=float)
         scalar = z.ndim == 0
         z = np.atleast_1d(z)
+        if self.family is Family.WEIBULL:
+            out = self._weibull(z)
+        else:
+            out = _lambda_closed(self.family, self.gamma, z)
+        return float(out[0]) if scalar else out
+
+    def _weibull(self, z):
         out = np.empty_like(z)
         lo = z < self.z_lo
         hi = z > self.z_hi
         mid = ~(lo | hi)
         out[lo] = self.slope * z[lo]
         if np.any(hi):
-            out[hi] = self._tail(z[hi])
+            # psi0(t) = t up to O(e^(-1/t)), negligible beyond z_hi.
+            g = self.gamma
+            ga = g / z[hi]
+            corr = _sp.gammainc(2.0, ga) / g ** 2 - 2.0 * z[hi] * _sp.gammainc(3.0, ga) / g ** 3
+            out[hi] = self.lam_inf - corr
         if np.any(mid):
             u = np.log(z[mid])
             idx = np.clip(np.searchsorted(self.edges, u, side="right") - 1, 0,
@@ -373,45 +398,29 @@ class LambdaTable:
                 x = (2.0 * u[sel] - (u0 + u1)) / (u1 - u0)
                 vals[sel] = _cheb.chebval(x, self.coeffs[k])
             out[mid] = vals
-        return float(out[0]) if scalar else out
-
-    def _tail(self, z):
-        g = self.gamma
-        if self.family is Family.WEIBULL:
-            # psi0(t) = t up to O(e^(-1/t)), negligible beyond z_hi.
-            ga = g / z
-            corr = _sp.gammainc(2.0, ga) / g ** 2 - 2.0 * z * _sp.gammainc(3.0, ga) / g ** 3
-            return self.lam_inf - corr
-        if self.family is Family.PARETO:
-            a = 1.0 / z
-            return _pareto_lambda_high_closed(g, z, _pareto_m1(g, a), _pareto_m2(g, a))
-        return np.full_like(z, self.lam_inf)
+        return out
 
 
 @functools.lru_cache(maxsize=32)
 def lambda_table(family: Family, gamma: float) -> LambdaTable:
-    """Build (and cache) the fast lam evaluator for one (family, gamma)."""
+    """Build (and cache) the fast lam evaluator for one (family, gamma).
+
+    Only Weibull has panels to fit: its lam has no elementary closed form.
+    """
     g = _check_gamma(gamma)
-    slope = lambda_slope(family, g)
     lam_inf = lambda_complete(family, g)
-    z_lo = g / 40.0
+    if family is not Family.WEIBULL:
+        return LambdaTable(family=family, gamma=g, lam_inf=lam_inf)
 
-    if family is Family.PARETO:
-        # Fully closed form: a table with no interpolation panels, switching
-        # between the two branches at z = 1.
-        return _ParetoLambda(
-            family=family, gamma=g, z_lo=0.0, z_hi=np.inf, slope=slope,
-            lam_inf=lam_inf, edges=np.empty(0), coeffs=np.empty((0, 0)),
-        )
-
-    z_hi = 40.0 if family is Family.WEIBULL else _Z_CAP
+    # lim lam(z)/z as z -> 0, i.e. int_0^inf t psi0(t) e^(-g t) dt.
+    slope = 2.0 / g ** 3 - 2.0 * bessel_k(3.0, 2.0 * math.sqrt(g)) / g ** 1.5
+    z_lo, z_hi = g / 40.0, 40.0
     tol = 1e-11 * max(1.0, lam_inf)
     u_lo, u_hi = math.log(z_lo), math.log(z_hi)
 
     def f(u):
         return np.array(
-            [_lambda_via_complement(family, g, math.exp(v), lam_inf)
-             for v in np.atleast_1d(u)]
+            [_lambda_via_complement(g, math.exp(v), lam_inf) for v in np.atleast_1d(u)]
         )
 
     nodes = np.cos(np.arange(_CHEB_DEG + 1) * np.pi / _CHEB_DEG)
@@ -432,28 +441,9 @@ def lambda_table(family: Family, gamma: float) -> LambdaTable:
     edges = np.array([p[0] for p in panels] + [panels[-1][1]])
     coeffs = np.array([p[2] for p in panels])
     return LambdaTable(
-        family=family, gamma=g, z_lo=z_lo, z_hi=z_hi, slope=slope,
-        lam_inf=lam_inf, edges=edges, coeffs=coeffs,
+        family=family, gamma=g, lam_inf=lam_inf, z_lo=z_lo, z_hi=z_hi, slope=slope,
+        edges=edges, coeffs=coeffs,
     )
-
-
-class _ParetoLambda(LambdaTable):
-    """Closed-form lam for the Pareto family (no panels needed)."""
-
-    def __call__(self, z):
-        z = np.asarray(z, dtype=float)
-        scalar = z.ndim == 0
-        z = np.atleast_1d(z)
-        g = self.gamma
-        out = np.empty_like(z)
-        low = z <= 1.0
-        if np.any(low):
-            out[low] = _pareto_lambda_low(g, z[low])
-        if np.any(~low):
-            zh = z[~low]
-            a = 1.0 / zh
-            out[~low] = _pareto_lambda_high_closed(g, zh, _pareto_m1(g, a), _pareto_m2(g, a))
-        return float(out[0]) if scalar else out
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +454,7 @@ def statistic(family: Family, standardized: StandardizedSample, gamma: float) ->
     """Assemble the test statistic from a standardized sample (reference route).
 
     The pairwise kernel sum is evaluated once per unordered pair; lam is
-    evaluated once per distinct value through the adaptive-quadrature route.
+    evaluated once per distinct value through :func:`small_lambda`.
     """
     g = _check_gamma(gamma)
     y = np.asarray(standardized.values, dtype=float)

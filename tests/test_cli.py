@@ -106,6 +106,24 @@ class TestTestCommand:
         assert main(args) == EXIT_OK
         assert os.listdir(cache_dir) == files
 
+    def test_truncated_cache_is_a_miss_and_rewritten(self, exp_data, tmp_path):
+        from mincf.families import Family
+        from mincf.simulation import NullCache
+
+        cache_dir = str(tmp_path / "cache")
+        args = ["test", "--family", "weibull", "--data", exp_data, "--gamma", "1",
+                "--replicates", "300", "--seed", "5", "--workers", "1",
+                "--cache-dir", cache_dir]
+        assert main(args) == EXIT_OK
+        (name,) = os.listdir(cache_dir)
+        path = os.path.join(cache_dir, name)
+        with open(path, "r+b") as fh:
+            fh.truncate(os.path.getsize(path) // 2)
+        assert main(args) == EXIT_OK
+        assert os.listdir(cache_dir) == [name]
+        null = NullCache(cache_dir).load(Family.WEIBULL, 40, 1.0, 300, 5)
+        assert null is not None and null.sorted_stats.size == 300
+
 
 class TestCritvalsCommand:
     def test_alpha_ordering_and_determinism(self, tmp_path, capsys):

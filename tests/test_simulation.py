@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -258,6 +260,24 @@ class TestCache:
         assert cache.load(Family.WEIBULL, 9, 1.0, 300, 2) is None
         assert cache.load(Family.WEIBULL, 8, 2.0, 300, 2) is None
         assert cache.load(Family.PARETO, 8, 1.0, 300, 2) is None
+
+    def test_save_leaves_no_temp_files(self, tmp_path):
+        cache = NullCache(tmp_path)
+        null = build_null(Family.WEIBULL, 8, 1.0, 300, seed=2)
+        path = cache.save(null)
+        cache.save(null)
+        assert os.listdir(tmp_path) == [os.path.basename(path)]
+
+    @pytest.mark.parametrize("content", [b"", b"PK\x03\x04garbage", b"\x93NUMPY"])
+    def test_unreadable_file_is_a_miss(self, tmp_path, content):
+        cache = NullCache(tmp_path)
+        null = build_null(Family.WEIBULL, 8, 1.0, 300, seed=2)
+        path = cache.save(null)
+        with open(path, "wb") as fh:
+            fh.write(content)
+        assert cache.load(Family.WEIBULL, 8, 1.0, 300, 2) is None
+        cache.save(null)
+        assert cache.load(Family.WEIBULL, 8, 1.0, 300, 2) is not None
 
     def test_nonstandard_params_not_cached(self, tmp_path):
         cache = NullCache(tmp_path)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -160,6 +161,38 @@ class TestLambdaTable:
         table = lambda_table(Family.FRECHET, 1.0)
         z = np.geomspace(1e-6, 1e6, 400)
         assert np.all(np.diff(table(z)) >= -1e-12)
+
+
+class TestClosedFormLambda:
+    """Pareto (z > 1) and Frechet lam against mpmath quadrature.
+
+    small_lambda and lambda_table share the closed forms for these families,
+    so TestLambdaTable cannot catch an error in them. The z grid straddles
+    every branch switch: z = 1 and z = max(4, gamma) for Pareto, z = max(2,
+    gamma/2) for Frechet.
+    """
+
+    Z = np.geomspace(1e-8, 1e8, 33)
+
+    @staticmethod
+    def _oracle(family, gamma, z):
+        with mp.workdps(20):
+            g, z = mp.mpf(gamma), mp.mpf(z)
+            if family is Family.FRECHET:
+                psi0 = lambda t: 1 - mp.exp(-t) + t * mp.e1(t)
+            else:
+                psi0 = lambda t: t * (1 - mp.log(t)) if t <= 1 else mp.mpf(1)
+            f = lambda t: min(1, t * z) * psi0(t) * mp.exp(-g * t)
+            return float(mp.quad(f, sorted({mp.mpf(0), 1 / z, mp.mpf(1), mp.inf})))
+
+    @pytest.mark.parametrize("family", [Family.PARETO, Family.FRECHET])
+    @pytest.mark.parametrize("gamma", [0.2, 0.5, 1.0, 5.0, 8.0])
+    def test_against_mpmath(self, family, gamma):
+        z = self.Z if family is Family.FRECHET else self.Z[self.Z > 1.0]
+        ref = np.array([self._oracle(family, gamma, v) for v in z])
+        got = lambda_table(family, gamma)(z)
+        scale = max(1.0, lambda_complete(family, gamma))
+        assert np.max(np.abs(got - ref)) <= 5e-10 * scale
 
 
 class TestStatistic:
