@@ -1,7 +1,7 @@
 """Command-line front end: test datasets, tabulate critical values, run studies.
 
-Exit codes: 0 success, 2 input/validation error, 3 numerical failure,
-4 internal error.
+Exit codes: 0 success, 2 input/validation error (an OSError from a
+user-supplied path counts as one), 3 numerical failure, 4 internal error.
 """
 from __future__ import annotations
 
@@ -297,7 +297,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DomainError) as exc:
+    except (ConfigError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (DegenerateSampleError, ConvergenceError, IntegrationError, EngineError) as exc:

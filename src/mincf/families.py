@@ -17,7 +17,7 @@ import numpy as np
 from scipy import special as _sp
 
 from .errors import ConfigError, DomainError
-from .special import EULER_GAMMA, exp_integral_e1
+from .special import exp_integral_e1
 
 
 class Family(enum.Enum):
@@ -55,11 +55,6 @@ STANDARD_PARAMS = ParamPair(1.0, 1.0)
 # Null-family functions.
 # ---------------------------------------------------------------------------
 
-#: Below this t the Frechet minCF term t*E1(t) is replaced by its
-#: small-argument form t*(-euler_gamma - log t); the neglected part is O(t^2).
-_FRECHET_SMALL_T = 1e-10
-
-
 def null_min_cf(family: Family, t):
     """Min-characteristic function psi0(t) = E min{1, tX} of the standard member.
 
@@ -77,13 +72,7 @@ def null_min_cf(family: Family, t):
     elif family is Family.PARETO:
         out = np.where(arr <= 1.0, arr * (1.0 - np.log(arr)), 1.0)
     elif family is Family.FRECHET:
-        out = -np.expm1(-arr)
-        tiny = arr < _FRECHET_SMALL_T
-        big = arr >= _FRECHET_SMALL_T
-        if np.any(big):
-            out[big] += arr[big] * exp_integral_e1(arr[big])
-        if np.any(tiny):
-            out[tiny] += arr[tiny] * (-EULER_GAMMA - np.log(arr[tiny]))
+        out = -np.expm1(-arr) + arr * exp_integral_e1(arr)
     else:
         raise DomainError(f"unknown family {family!r}")
     return float(out[0]) if scalar else out.reshape(np.shape(t))

@@ -30,7 +30,7 @@ from .families import (
 from .stat import batch_statistics, l_constant, lambda_table, statistic
 
 #: Bump when the statistic implementation changes; cached nulls are keyed on it.
-STATISTIC_CODE_VERSION = "2"
+STATISTIC_CODE_VERSION = "3"
 
 #: Replicates per work unit. Fixed so that the chunk layout (and therefore
 #: every floating-point reduction) is independent of the worker count.

@@ -95,6 +95,21 @@ class TestTestCommand:
         assert main(["test", "--family", "normal", "--data", exp_data,
                      "--no-cache"]) == EXIT_INPUT
 
+    def test_out_in_missing_directory_exits_2(self, exp_data, tmp_path, capsys):
+        code = main(["test", "--family", "weibull", "--data", exp_data, "--gamma", "1",
+                     "--replicates", "200", "--workers", "1", "--no-cache",
+                     "--out", str(tmp_path / "missing" / "r.json")])
+        assert code == EXIT_INPUT
+        assert "internal error" not in capsys.readouterr().err
+
+    def test_cache_dir_that_is_a_file_exits_2(self, exp_data, tmp_path, capsys):
+        blocker = tmp_path / "cache"
+        blocker.write_text("")
+        code = main(["test", "--family", "weibull", "--data", exp_data, "--gamma", "1",
+                     "--replicates", "200", "--workers", "1", "--cache-dir", str(blocker)])
+        assert code == EXIT_INPUT
+        assert "internal error" not in capsys.readouterr().err
+
     def test_cache_reused(self, exp_data, tmp_path):
         cache_dir = str(tmp_path / "cache")
         args = ["test", "--family", "weibull", "--data", exp_data, "--gamma", "1",

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -51,12 +52,16 @@ class TestNullMinCF:
         assert null_min_cf(Family.PARETO, 1.0) == 1.0
 
     def test_frechet_vs_quadrature(self):
-        for t in (0.2, 1.0, 3.0):
+        for t in (0.2, 1.0, 3.0, 1e-12, 1e-200):
             ref = quad_pieces(
                 lambda x: min(1.0, t * x) * null_density(Family.FRECHET, STANDARD_PARAMS, x),
                 {1.0 / t},
             )
             assert abs(null_min_cf(Family.FRECHET, t) - ref) < 1e-9
+            # The absolute bound says little at tiny t, so check t*E1(t) there too.
+            with mp.workdps(30):
+                exact = float(-mp.expm1(-t) + t * mp.e1(t))
+            assert abs(null_min_cf(Family.FRECHET, t) - exact) <= 1e-14 * exact
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_boundaries(self, family):

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -8,8 +10,9 @@ from hypothesis import strategies as st
 
 from mincf.errors import DomainError
 from mincf.estimation import StandardizedSample, mle, standardize
-from mincf.families import Family, ParamPair, parse_alternative, sample_null
+from mincf.families import Family, ParamPair, parse_alternative, sample_alternative, sample_null
 from mincf.stat import (
+    _kernel_sum,
     batch_statistics,
     empirical_min_cf,
     kernel_lambda,
@@ -91,6 +94,43 @@ class TestKernel:
             kernel_lambda(0.0, 1.0, 1.0)
         with pytest.raises(DomainError):
             kernel_lambda(1.0, -1.0, 1.0)
+
+
+class TestKernelSum:
+    """The sorted O(n log n) double sum against the pairwise kernel grid."""
+
+    ALTERNATIVES = ("LN(3)", "LN(8)", "W(0.3,1)", "CH(0.8)+1")
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_matches_pair_grid(self, family):
+        rng = np.random.default_rng(107)
+        for n in (3, 20, 200):
+            raw = [sample_null(family, ParamPair(1.0, 1.0), n, rng)]
+            raw += [sample_alternative(parse_alternative(a), n, rng) for a in self.ALTERNATIVES]
+            raw.append(np.repeat(raw[0][: n // 2 + 1], 2)[:n])  # every value tied
+            y = np.stack([standardize(x, mle(family, x)).values for x in raw])
+            for g in (0.2, 0.5, 1.0, 5.0, 8.0, 30.0):
+                ref = kernel_lambda(g, y[:, :, None], y[:, None, :]).sum((1, 2))
+                got = _kernel_sum(g, y)
+                assert np.max(np.abs(got - ref) / ref) <= 1e-13
+                # The 1-D call is the one statistic() makes.
+                one = np.array([_kernel_sum(g, row) for row in y])
+                assert np.max(np.abs(one - ref) / ref) <= 1e-13
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_large_row_memory_is_linear(self, family):
+        # The n x n pair grid of this row would take about 80 GB.
+        x = sample_null(family, ParamPair(1.0, 1.0), 100_000, np.random.default_rng(109))
+        y = standardize(x, mle(family, x)).values[None, :]
+        table, lc = lambda_table(family, 1.0), l_constant(family, 1.0)
+        tracemalloc.start()
+        try:
+            value = batch_statistics(family, 1.0, y, table, lc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(value[0]) and value[0] >= 0.0
+        assert peak < 64 * 2 ** 20
 
 
 class TestLConstant:
@@ -259,6 +299,18 @@ class TestStatistic:
                     for i in range(12)
                 ])
                 assert np.max(np.abs(fast - ref)) < 1e-8 * max(1.0, np.max(ref))
+
+    def test_rejects_non_finite_values(self):
+        # This Pareto fit overflows to Y = inf; it must fail on the input
+        # check, before the kernel or lam warn about it.
+        x = np.array([1e-300, 1e-200, 1.0, 2.0, 3.0, 1e300])
+        with np.errstate(over="ignore"):
+            y = standardize(x, mle(Family.PARETO, x))
+        assert np.isinf(y.values).any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="finite"):
+                statistic(Family.PARETO, y, 1.0)
 
     def test_requires_minimum_size(self):
         y = StandardizedSample(values=np.array([1.0, 2.0]), estimate=None)
