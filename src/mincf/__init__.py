@@ -61,6 +61,7 @@ from .simulation import (
     StudyResult,
     TestResult,
     build_null,
+    build_nulls,
     critical_value,
     derive_seed,
     p_value,

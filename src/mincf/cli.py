@@ -28,7 +28,8 @@ from .simulation import (
     STATISTIC_CODE_VERSION,
     NullCache,
     StudyConfig,
-    build_null,
+    build_null,  # unused here; perfbench traces cli.build_null
+    build_nulls,
     critical_value,
     run_study,
     gof_test,
@@ -163,11 +164,11 @@ def _cmd_critvals(args) -> int:
     print(f"family: {family.value}   replicates: {args.replicates}   seed: {args.seed}")
     print(header)
     for n in sizes:
-        for gamma in gammas:
-            null = build_null(
-                family, n, gamma, args.replicates, args.seed,
-                workers=args.workers, cache=cache,
-            )
+        nulls = build_nulls(
+            family, n, gammas, args.replicates, args.seed,
+            workers=args.workers, cache=cache,
+        )
+        for gamma, null in zip(gammas, nulls):
             cvs = [critical_value(null, a) for a in alphas]
             rows.append({"n": n, "gamma": gamma,
                          "critical_values": dict(zip(map(str, alphas), cvs))})

@@ -1,10 +1,12 @@
 """Monte Carlo engine: null distributions, p-values, power, study runs.
 
 The null distribution of the test statistic does not depend on (c, phi), so
-one simulation per (family, n, gamma) serves every dataset of that shape.
-Replicate i draws from its own counter-derived random substream, which makes
-results bit-identical for a fixed seed no matter how many workers run or how
-the replicates are batched.
+one simulation per (family, n) serves every dataset of that shape. Only the
+statistic depends on gamma, so one draw-and-fit pass at a seed serves every
+gamma: each replicate is drawn, fitted and standardized once, then scored at
+each gamma. Replicate i draws from its own counter-derived random substream,
+which makes results bit-identical for a fixed seed no matter how many workers
+run or how the replicates are batched.
 """
 from __future__ import annotations
 
@@ -166,8 +168,8 @@ def _draw(sampler, n: int, rng: np.random.Generator) -> np.ndarray:
     return sample_alternative(spec, n, rng)
 
 
-def _simulate_chunk(family, n, gamma, seed, i0, i1, sampler, table, l_const):
-    """Statistics for replicates [i0, i1); returns (stats, redraws, failed)."""
+def _simulate_chunk(family, n, gammas, seed, i0, i1, sampler, tables, l_consts):
+    """Replicates [i0, i1): (stats with one row per gamma, redraws, failed fits)."""
     count = i1 - i0
     rngs = [
         np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
@@ -177,7 +179,7 @@ def _simulate_chunk(family, n, gamma, seed, i0, i1, sampler, table, l_const):
     for j in range(count):
         x[j] = _draw(sampler, n, rngs[j])
 
-    stats = np.empty(count)
+    stats = np.empty((len(gammas), count))
     pending = np.arange(count)
     redraws = 0
     ever_failed: set[int] = set()
@@ -186,7 +188,8 @@ def _simulate_chunk(family, n, gamma, seed, i0, i1, sampler, table, l_const):
         good = pending[ok]
         if good.size:
             y = (x[good] / c[ok, None]) ** phi[ok, None]
-            stats[good] = batch_statistics(family, gamma, y, table, l_const)
+            for k, gamma in enumerate(gammas):
+                stats[k, good] = batch_statistics(family, gamma, y, tables[k], l_consts[k])
         pending = pending[~ok]
         if pending.size == 0:
             break
@@ -206,28 +209,72 @@ def _simulate_chunk_star(args):
     return _simulate_chunk(*args)
 
 
-def _simulate_statistics(family, n, gamma, big_n, seed, sampler, workers):
-    """All replicate statistics, chunked deterministically."""
-    table = lambda_table(family, gamma)
-    l_const = l_constant(family, gamma)
+def _simulate_statistics(family, n, gammas, big_n, seed, sampler, workers):
+    """All replicate statistics, one row per gamma, chunked deterministically."""
+    tables = [lambda_table(family, g) for g in gammas]
+    l_consts = [l_constant(family, g) for g in gammas]
     chunks = [
-        (family, n, gamma, seed, i0, min(i0 + _CHUNK, big_n), sampler, table, l_const)
+        (family, n, gammas, seed, i0, min(i0 + _CHUNK, big_n), sampler, tables, l_consts)
         for i0 in range(0, big_n, _CHUNK)
     ]
     if workers <= 1 or len(chunks) == 1:
         parts = [_simulate_chunk(*c) for c in chunks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
             parts = list(pool.map(_simulate_chunk_star, chunks))
-    stats = np.concatenate([p[0] for p in parts])
+    stats = np.concatenate([p[0] for p in parts], axis=1)
     redraws = sum(p[1] for p in parts)
     failed = sum(p[2] for p in parts)
     if failed > 0.01 * big_n:
         raise EngineError(
             f"MLE failed on {failed} of {big_n} replicates "
-            f"({family.value}, n={n}, gamma={gamma})"
+            f"({family.value}, n={n}, gamma={','.join(f'{g:g}' for g in gammas)})"
         )
     return stats, redraws
+
+
+def build_nulls(
+    family: Family,
+    n: int,
+    gammas,
+    replicates: int,
+    seed: int,
+    *,
+    params: ParamPair = STANDARD_PARAMS,
+    workers: int = 1,
+    cache: "NullCache | None" = None,
+) -> tuple[NullDistribution, ...]:
+    """Simulate the null distribution of the statistic for (family, n) at each gamma.
+
+    Every replicate draws a fresh sample from the family member given by
+    ``params`` (the standard member by default; exact invariance makes the
+    law identical for any choice), refits the MLE, standardizes and computes
+    the statistic at every gamma the cache does not already hold. Replicates
+    whose MLE degenerates are redrawn from the replicate's own substream and
+    counted in ``redraws``. Each null equals what a separate call for its
+    gamma at the same seed gives, bit for bit, and is cached under its own key.
+    """
+    if n < 3:
+        raise DomainError("need n >= 3")
+    if replicates < 100:
+        raise DomainError("need at least 100 replicates")
+    gammas = tuple(float(g) for g in gammas)
+    cache = cache if params == STANDARD_PARAMS else None
+    nulls = {g: cache.load(family, n, g, replicates, seed) if cache else None for g in gammas}
+    missing = tuple(g for g, null in nulls.items() if null is None)
+    if missing:
+        sampler = ("null", family, params.c, params.phi)
+        stats, redraws = _simulate_statistics(
+            family, n, missing, replicates, seed, sampler, workers
+        )
+        for g, row in zip(missing, stats):
+            nulls[g] = NullDistribution(
+                family=family, n=n, gamma=g, replicates=replicates,
+                sorted_stats=np.sort(row), seed=seed, redraws=redraws,
+            )
+            if cache is not None:
+                cache.save(nulls[g])
+    return tuple(nulls[g] for g in gammas)
 
 
 def build_null(
@@ -241,34 +288,9 @@ def build_null(
     workers: int = 1,
     cache: "NullCache | None" = None,
 ) -> NullDistribution:
-    """Simulate the null distribution of the statistic for (family, n, gamma).
-
-    Every replicate draws a fresh sample from the family member given by
-    ``params`` (the standard member by default; exact invariance makes the
-    law identical for any choice), refits the MLE, standardizes and computes
-    the statistic. Replicates whose MLE degenerates are redrawn from the
-    replicate's own substream and counted in ``redraws``.
-    """
-    if n < 3:
-        raise DomainError("need n >= 3")
-    if replicates < 100:
-        raise DomainError("need at least 100 replicates")
-    standard = params == STANDARD_PARAMS
-    if cache is not None and standard:
-        hit = cache.load(family, n, gamma, replicates, seed)
-        if hit is not None:
-            return hit
-    sampler = ("null", family, params.c, params.phi)
-    stats, redraws = _simulate_statistics(
-        family, n, gamma, replicates, seed, sampler, workers
-    )
-    null = NullDistribution(
-        family=family, n=n, gamma=float(gamma), replicates=replicates,
-        sorted_stats=np.sort(stats), seed=seed, redraws=redraws,
-    )
-    if cache is not None and standard:
-        cache.save(null)
-    return null
+    """The null distribution for one gamma; see :func:`build_nulls`."""
+    return build_nulls(family, n, (gamma,), replicates, seed, params=params,
+                       workers=workers, cache=cache)[0]
 
 
 def critical_value(null: NullDistribution, alpha: float) -> float:
@@ -306,9 +328,9 @@ def power(
         raise ConfigError("null distribution does not match (family, n, gamma)")
     cv = critical_value(null, alpha)
     stats, _ = _simulate_statistics(
-        family, n, gamma, replicates, seed, ("alt", alt), workers
+        family, n, (float(gamma),), replicates, seed, ("alt", alt), workers
     )
-    rejections = int((stats > cv).sum())
+    rejections = int((stats[0] > cv).sum())
     return PowerResult(
         family=family, alternative=alt, n=n, gamma=float(gamma), alpha=alpha,
         rejections=rejections, replicates=replicates,
@@ -336,21 +358,18 @@ def gof_test(
     x = np.asarray(data, dtype=float).ravel()
     est = mle(family, x)
     y = standardize(x, est)
-    out = []
-    for gamma in gammas:
-        breakdown = statistic(family, y, float(gamma))
-        null = build_null(
-            family, x.size, float(gamma), replicates, seed,
-            workers=workers, cache=cache,
+    gammas = [float(g) for g in gammas]
+    observed = [statistic(family, y, g).value for g in gammas]
+    nulls = build_nulls(
+        family, x.size, gammas, replicates, seed, workers=workers, cache=cache,
+    )
+    return [
+        TestResult(
+            family=family, n=x.size, gamma=g, statistic=t, p_value=p_value(null, t),
+            estimate=est, replicates=replicates, seed=seed,
         )
-        out.append(
-            TestResult(
-                family=family, n=x.size, gamma=float(gamma),
-                statistic=breakdown.value, p_value=p_value(null, breakdown.value),
-                estimate=est, replicates=replicates, seed=seed,
-            )
-        )
-    return out
+        for g, t, null in zip(gammas, observed, nulls)
+    ]
 
 
 def run_study(

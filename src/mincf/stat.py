@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 from numpy.polynomial import polynomial as _poly
-from scipy import optimize as _opt
 from scipy import special as _sp
 
 from .errors import ConvergenceError, DomainError
@@ -631,7 +630,9 @@ def mle_limit(family: Family, alt: AlternativeSpec) -> ParamPair:
         raise ConvergenceError(
             f"no MLE limit found for {family.value} under {alt}"
         )
-    phi = _opt.brentq(score, *bracket, xtol=1e-12, rtol=1e-14)
+    from scipy.optimize import brentq  # imported here to keep it off the CLI start-up path
+
+    phi = brentq(score, *bracket, xtol=1e-12, rtol=1e-14)
     m = _alt_expectation(alt, lambda x: x ** (sign * phi))
     c = m ** (sign / phi)
     return ParamPair(c, phi)

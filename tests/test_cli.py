@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -233,3 +235,17 @@ class TestSizeAndPowerThroughCLI:
             p = p_value(null, statistic(Family.WEIBULL, y, 1.0).value)
             rejections += p < 0.05
         assert rejections > runs // 2
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize costs about 0.3 s of start-up and no command needs it.
+    import mincf
+
+    src = os.path.dirname(os.path.dirname(mincf.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run(
+        [sys.executable, "-c", "import mincf.cli, sys; print('scipy.optimize' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "False"

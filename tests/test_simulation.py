@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
+from mincf import simulation
 from mincf.errors import ConfigError, DomainError, EngineError
 from mincf.families import AlternativeSpec, Family, ParamPair, parse_alternative
 from mincf.simulation import (
@@ -13,6 +14,7 @@ from mincf.simulation import (
     NullDistribution,
     StudyConfig,
     build_null,
+    build_nulls,
     critical_value,
     derive_seed,
     p_value,
@@ -129,6 +131,72 @@ class TestBuildNull:
         pvals = np.array([p_value(null, s) for s in fresh.sorted_stats])
         ks = sps.kstest(pvals, "uniform").statistic
         assert ks < 0.04
+
+
+GAMMAS = (0.5, 1.0, 5.0)
+
+
+class TestBuildNulls:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("family", list(Family))
+    def test_one_pass_equals_per_gamma_calls(self, family, workers):
+        together = build_nulls(family, 20, GAMMAS, 600, seed=13, workers=workers)
+        for gamma, null in zip(GAMMAS, together):
+            alone = build_null(family, 20, gamma, 600, seed=13, workers=workers)
+            assert null.gamma == gamma
+            assert np.array_equal(null.sorted_stats, alone.sorted_stats)
+            assert null.redraws == alone.redraws
+
+    def test_pool_sized_to_chunks(self, monkeypatch):
+        requested = []
+
+        class SerialPool:
+            """Records max_workers and maps in this process, starting none."""
+
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(simulation, "ProcessPoolExecutor", SerialPool)
+        serial = build_null(Family.PARETO, 10, 1.0, 600, seed=3, workers=1)
+        wide = build_null(Family.PARETO, 10, 1.0, 600, seed=3, workers=64)
+        assert requested == [2]
+        assert np.array_equal(serial.sorted_stats, wide.sorted_stats)
+
+    def test_failure_counted_once_and_names_all_gammas(self, monkeypatch):
+        # Every row fails its first fit, so all 300 replicates count as
+        # failed once, however many gammas share the pass.
+        real_fit, calls = simulation.fit_batch, []
+
+        def fail_first_call(family, x):
+            c, phi, ok, iterations = real_fit(family, x)
+            calls.append(x)
+            return c, phi, ok & (len(calls) > 1), iterations
+
+        monkeypatch.setattr(simulation, "fit_batch", fail_first_call)
+        with pytest.raises(EngineError, match=r"failed on 300 of 300 .*gamma=0\.5,1,5\)"):
+            build_nulls(Family.WEIBULL, 10, GAMMAS, 300, seed=1)
+
+    def test_partial_cache_simulates_only_the_misses(self, tmp_path):
+        data = np.random.default_rng(4).exponential(size=30)
+        cold = gof_test(data, Family.WEIBULL, GAMMAS, 300, seed=9)
+        cache = NullCache(tmp_path)
+        build_null(Family.WEIBULL, 30, 1.0, 300, seed=9, cache=cache)
+        (hit,) = os.listdir(tmp_path)
+        inode = os.stat(tmp_path / hit).st_ino
+        warm = gof_test(data, Family.WEIBULL, GAMMAS, 300, seed=9, cache=cache)
+        assert len(set(os.listdir(tmp_path)) - {hit}) == 2
+        assert os.stat(tmp_path / hit).st_ino == inode  # the hit was not rewritten
+        assert [r.p_value for r in warm] == [r.p_value for r in cold]
+        assert [r.statistic for r in warm] == [r.statistic for r in cold]
 
 
 class TestPower:
