@@ -53,7 +53,7 @@ def read_data_file(path: str) -> np.ndarray:
     values = []
     header_allowed = True
     try:
-        fh = open(path, encoding="utf-8")
+        fh = open(path, encoding="utf-8-sig")
     except OSError as exc:
         raise ConfigError(f"cannot open {path}: {exc}")
     with fh:

@@ -29,10 +29,11 @@ from .families import (
     sample_alternative,
     sample_null,
 )
+# l_constant and lambda_table are unused here; perfbench traces them by these names.
 from .stat import batch_statistics, l_constant, lambda_table, statistic
 
 #: Bump when the statistic implementation changes; cached nulls are keyed on it.
-STATISTIC_CODE_VERSION = "3"
+STATISTIC_CODE_VERSION = "4"
 
 #: Replicates per work unit. Fixed so that the chunk layout (and therefore
 #: every floating-point reduction) is independent of the worker count.
@@ -168,7 +169,7 @@ def _draw(sampler, n: int, rng: np.random.Generator) -> np.ndarray:
     return sample_alternative(spec, n, rng)
 
 
-def _simulate_chunk(family, n, gammas, seed, i0, i1, sampler, tables, l_consts):
+def _simulate_chunk(family, n, gammas, seed, i0, i1, sampler):
     """Replicates [i0, i1): (stats with one row per gamma, redraws, failed fits)."""
     count = i1 - i0
     rngs = [
@@ -189,7 +190,7 @@ def _simulate_chunk(family, n, gammas, seed, i0, i1, sampler, tables, l_consts):
         if good.size:
             y = (x[good] / c[ok, None]) ** phi[ok, None]
             for k, gamma in enumerate(gammas):
-                stats[k, good] = batch_statistics(family, gamma, y, tables[k], l_consts[k])
+                stats[k, good] = batch_statistics(family, gamma, y)
         pending = pending[~ok]
         if pending.size == 0:
             break
@@ -211,10 +212,8 @@ def _simulate_chunk_star(args):
 
 def _simulate_statistics(family, n, gammas, big_n, seed, sampler, workers):
     """All replicate statistics, one row per gamma, chunked deterministically."""
-    tables = [lambda_table(family, g) for g in gammas]
-    l_consts = [l_constant(family, g) for g in gammas]
     chunks = [
-        (family, n, gammas, seed, i0, min(i0 + _CHUNK, big_n), sampler, tables, l_consts)
+        (family, n, gammas, seed, i0, min(i0 + _CHUNK, big_n), sampler)
         for i0 in range(0, big_n, _CHUNK)
     ]
     if workers <= 1 or len(chunks) == 1:

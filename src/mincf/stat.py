@@ -9,16 +9,16 @@ closed form, double sum in O(n log n) by :func:`_kernel_sum`), L = int
 psi0(t)^2 e^(-gamma t) dt (per family, closed up to one residual quadrature)
 and lam(z) = int min(1,t z) psi0(t) e^(-gamma t) dt.
 
-Each family evaluates lam by one route, shared by :func:`small_lambda` (one
-point, used by :func:`statistic`) and :func:`lambda_table` (vectorized, used
-by :func:`batch_statistics` in the Monte Carlo engine):
+lam has one production route, the cached vectorized :func:`lambda_table`,
+serving the observed :func:`statistic` and the engine's :func:`batch_statistics`:
 
 * Pareto and Frechet - closed forms through E1 and regularized incomplete
   gammas, with power series where those forms cancel.
-* Weibull - int t^2 e^(-1/t - gamma t) dt has no elementary form, so one
-  bounded quadrature gives single values, and the table fits
-  piecewise-Chebyshev panels to it once per gamma, with the exact linear
-  asymptote below the panels and an analytic tail above them.
+* Weibull - int t^2 e^(-1/t - gamma t) dt has no elementary form, so
+  piecewise-Chebyshev panels are fitted once per gamma to a composite
+  Gauss-Legendre rule, with the exact linear asymptote below the panels
+  and an analytic tail above them. :func:`small_lambda`, one adaptive
+  quadrature per point, is the reference the tests hold the table to.
 
 :func:`statistic_direct` evaluates the defining integral
 n*int (psi_n - psi0)^2 e^(-gamma t) dt by quadrature and serves as the
@@ -178,8 +178,8 @@ _SERIES_TERMS = 30
 def small_lambda(family: Family, gamma: float, z: float) -> float:
     """lam(z) = int_0^inf min(1, t z) psi0(t) e^(-gamma t) dt at one point.
 
-    Pareto and Frechet evaluate their closed forms; Weibull runs the bounded
-    quadrature that the panels of :func:`lambda_table` are fitted to.
+    Pareto and Frechet evaluate their closed forms; Weibull runs one adaptive
+    quadrature, the reference for the panels of :func:`lambda_table`.
     """
     g = _check_gamma(gamma)
     z = float(z)
@@ -335,7 +335,7 @@ def _poly_log_moment(g, a, p):
 
 
 # ---------------------------------------------------------------------------
-# lam(z): vectorized evaluator for the Monte Carlo engine.
+# lam(z): the vectorized table route.
 # ---------------------------------------------------------------------------
 
 def lambda_complete(family: Family, gamma: float) -> float:
@@ -358,8 +358,7 @@ _WEIBULL_QUAD = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-16, max_subdivisions=20
 def _lambda_via_complement(g: float, z: float, lam_inf: float) -> float:
     """Weibull lam(z) = lam_inf - int_0^(1/z) (1 - z t) psi0(t) e^(-g t) dt.
 
-    A single bounded quadrature: the value :func:`small_lambda` returns and
-    the function the Chebyshev panels of :func:`lambda_table` are fitted to.
+    One adaptive quadrature: the value :func:`small_lambda` returns.
     """
     def integrand(t):
         return (1.0 - z * t) * null_min_cf(Family.WEIBULL, t) * np.exp(-g * t)
@@ -424,7 +423,7 @@ class LambdaTable:
 
 @functools.lru_cache(maxsize=32)
 def lambda_table(family: Family, gamma: float) -> LambdaTable:
-    """Build (and cache) the fast lam evaluator for one (family, gamma).
+    """Build (and cache) the lam evaluator for one (family, gamma).
 
     Only Weibull has panels to fit: its lam has no elementary closed form.
     """
@@ -439,10 +438,19 @@ def lambda_table(family: Family, gamma: float) -> LambdaTable:
     tol = 1e-11 * max(1.0, lam_inf)
     u_lo, u_hi = math.log(z_lo), math.log(z_hi)
 
+    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(32)
+    pieces = np.array([0.0, 0.05, 0.2, 1.0, 4.0, 16.0, np.inf])
+
     def f(u):
-        return np.array(
-            [_lambda_via_complement(g, math.exp(v), lam_inf) for v in np.atleast_1d(u)]
-        )
+        # lam_inf minus int_0^(1/z) (1 - z t) psi0(t) e^(-g t) dt at every z at once, by
+        # Gauss-Legendre on `pieces` cut at 1/z (~1e-15 off small_lambda). One piece
+        # alone is off by 1e-6 at g = 0.2, even with 128 nodes.
+        z = np.exp(u)[:, None]
+        lo = np.minimum(pieces[:-1], 1.0 / z)
+        hw = 0.5 * (np.minimum(pieces[1:], 1.0 / z) - lo)
+        t = (lo + hw)[..., None] + hw[..., None] * gl_nodes
+        h = (1.0 - z[..., None] * t) * null_min_cf(Family.WEIBULL, t) * np.exp(-g * t)
+        return lam_inf - (hw[..., None] * gl_weights * h).sum(axis=(1, 2))
 
     nodes = np.cos(np.arange(_CHEB_DEG + 1) * np.pi / _CHEB_DEG)
     panels = []
@@ -472,10 +480,11 @@ def lambda_table(family: Family, gamma: float) -> LambdaTable:
 # ---------------------------------------------------------------------------
 
 def statistic(family: Family, standardized: StandardizedSample, gamma: float) -> StatisticBreakdown:
-    """Assemble the test statistic from a standardized sample (reference route).
+    """Assemble the test statistic from a standardized sample.
 
-    The pairwise kernel sum comes from the sorted O(n log n) :func:`_kernel_sum`;
-    lam is evaluated once per distinct value through :func:`small_lambda`.
+    Same terms as :func:`batch_statistics`: the double sum from
+    :func:`_kernel_sum`, lam from :func:`lambda_table` and L from
+    :func:`l_constant`.
     """
     g = _check_gamma(gamma)
     y = np.asarray(standardized.values, dtype=float)
@@ -486,11 +495,7 @@ def statistic(family: Family, standardized: StandardizedSample, gamma: float) ->
         raise DomainError("standardized values must be positive and finite")
 
     double_sum = float(_kernel_sum(g, y)) / n
-
-    uniq, inverse = np.unique(y, return_inverse=True)
-    lam_uniq = np.array([small_lambda(family, g, v) for v in uniq])
-    lambda_sum = 2.0 * lam_uniq[inverse].sum()
-
+    lambda_sum = 2.0 * lambda_table(family, g)(y).sum()
     n_times_l = n * l_constant(family, g)
     value = double_sum + n_times_l - lambda_sum
     return StatisticBreakdown(
@@ -498,23 +503,17 @@ def statistic(family: Family, standardized: StandardizedSample, gamma: float) ->
     )
 
 
-def batch_statistics(family: Family, gamma: float, y: np.ndarray,
-                     table: LambdaTable | None = None,
-                     l_const: float | None = None) -> np.ndarray:
+def batch_statistics(family: Family, gamma: float, y: np.ndarray) -> np.ndarray:
     """Statistic values for every row of a (B, n) standardized matrix.
 
-    Fast route of the Monte Carlo engine: the double sum from :func:`_kernel_sum`
-    (O(B n log n) time, O(B n) memory) and lam from the table route.
+    The terms of :func:`statistic` row by row, in O(B n log n) time and
+    O(B n) memory.
     """
     g = _check_gamma(gamma)
     y = np.asarray(y, dtype=float)
     b, n = y.shape
-    if table is None:
-        table = lambda_table(family, g)
-    if l_const is None:
-        l_const = l_constant(family, g)
-    lam = table(y.reshape(-1)).reshape(b, n).sum(axis=1)
-    return _kernel_sum(g, y) / n + n * l_const - 2.0 * lam
+    lam = lambda_table(family, g)(y.reshape(-1)).reshape(b, n).sum(axis=1)
+    return _kernel_sum(g, y) / n + n * l_constant(family, g) - 2.0 * lam
 
 
 def empirical_min_cf(sample, t):

@@ -37,7 +37,7 @@ from mincf import (
 from mincf.estimation import fit_batch
 from mincf.families import sample_alternative, sample_null
 from mincf.simulation import NullCache
-from mincf.stat import batch_statistics, l_constant, lambda_table
+from mincf.stat import batch_statistics
 
 SEED = 20230817
 WORKERS = min(8, os.cpu_count() or 1)
@@ -238,8 +238,6 @@ def test_criterion_5_consistency():
     alt = parse_alternative("G(3,1)")
     limit = mle_limit(Family.WEIBULL, alt)
     delta = population_delta(Family.WEIBULL, alt, 1.0, limit)
-    table = lambda_table(Family.WEIBULL, 1.0)
-    lc = l_constant(Family.WEIBULL, 1.0)
 
     def mean_scaled_statistic(n):
         vals = []
@@ -248,7 +246,7 @@ def test_criterion_5_consistency():
             x = sample_alternative(alt, n, rng)[None, :]
             c, phi, ok, _ = fit_batch(Family.WEIBULL, x)
             y = (x / c[:, None]) ** phi[:, None]
-            vals.append(batch_statistics(Family.WEIBULL, 1.0, y, table, lc)[0] / n)
+            vals.append(batch_statistics(Family.WEIBULL, 1.0, y)[0] / n)
         return float(np.mean(vals))
 
     m500 = mean_scaled_statistic(500)

@@ -29,6 +29,11 @@ class TestReadDataFile:
         path.write_text("strength\n1.0,\n2.0,\n3.0\n")
         assert read_data_file(str(path)).tolist() == [1.0, 2.0, 3.0]
 
+    def test_byte_order_mark_keeps_first_value(self, tmp_path):
+        path = tmp_path / "d.txt"
+        path.write_text("1.5\n2.5\n3.5\n4.5\n", encoding="utf-8-sig")
+        assert read_data_file(str(path)).tolist() == [1.5, 2.5, 3.5, 4.5]
+
     def test_negative_value_names_line(self, tmp_path):
         path = tmp_path / "d.txt"
         path.write_text("1.0\n2.0\n-1.0\n3.0\n")
@@ -238,14 +243,22 @@ class TestSizeAndPowerThroughCLI:
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize costs about 0.3 s of start-up and no command needs it.
+    # scipy.optimize costs about 0.3 s of start-up and no command needs it;
+    # scipy.integrate would load it too. statistic() must need neither.
     import mincf
 
     src = os.path.dirname(os.path.dirname(mincf.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    script = (
+        "import sys, numpy as np, mincf.cli\n"
+        "from mincf import Family, ParamPair, mle, sample_null, standardize, statistic\n"
+        "for family in Family:\n"
+        "    x = sample_null(family, ParamPair(1.0, 1.0), 20, np.random.default_rng(3))\n"
+        "    statistic(family, standardize(x, mle(family, x)), 1.0)\n"
+        "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))\n"
+    )
     out = subprocess.run(
-        [sys.executable, "-c", "import mincf.cli, sys; print('scipy.optimize' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True,
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True,
     ).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mincf import stat
 from mincf.errors import DomainError
 from mincf.estimation import StandardizedSample, mle, standardize
 from mincf.families import Family, ParamPair, parse_alternative, sample_alternative, sample_null
@@ -122,10 +123,9 @@ class TestKernelSum:
         # The n x n pair grid of this row would take about 80 GB.
         x = sample_null(family, ParamPair(1.0, 1.0), 100_000, np.random.default_rng(109))
         y = standardize(x, mle(family, x)).values[None, :]
-        table, lc = lambda_table(family, 1.0), l_constant(family, 1.0)
         tracemalloc.start()
         try:
-            value = batch_statistics(family, 1.0, y, table, lc)
+            value = batch_statistics(family, 1.0, y)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -204,12 +204,14 @@ class TestLambdaTable:
 
 
 class TestClosedFormLambda:
-    """Pareto (z > 1) and Frechet lam against mpmath quadrature.
+    """The lam table of every family against mpmath quadrature.
 
-    small_lambda and lambda_table share the closed forms for these families,
-    so TestLambdaTable cannot catch an error in them. The z grid straddles
-    every branch switch: z = 1 and z = max(4, gamma) for Pareto, z = max(2,
-    gamma/2) for Frechet.
+    small_lambda and lambda_table share the closed forms for Pareto (z > 1)
+    and Frechet, so TestLambdaTable cannot catch an error in them; for
+    Weibull this checks the panels and both asymptotic branches without the
+    adaptive quadrature. The z grid straddles every branch switch: z = 1 and
+    z = max(4, gamma) for Pareto, z = max(2, gamma/2) for Frechet, the panel
+    range [gamma/40, 40] for Weibull.
     """
 
     Z = np.geomspace(1e-8, 1e8, 33)
@@ -220,15 +222,17 @@ class TestClosedFormLambda:
             g, z = mp.mpf(gamma), mp.mpf(z)
             if family is Family.FRECHET:
                 psi0 = lambda t: 1 - mp.exp(-t) + t * mp.e1(t)
+            elif family is Family.WEIBULL:
+                psi0 = lambda t: t * (1 - mp.exp(-1 / t))
             else:
                 psi0 = lambda t: t * (1 - mp.log(t)) if t <= 1 else mp.mpf(1)
             f = lambda t: min(1, t * z) * psi0(t) * mp.exp(-g * t)
             return float(mp.quad(f, sorted({mp.mpf(0), 1 / z, mp.mpf(1), mp.inf})))
 
-    @pytest.mark.parametrize("family", [Family.PARETO, Family.FRECHET])
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
     @pytest.mark.parametrize("gamma", [0.2, 0.5, 1.0, 5.0, 8.0])
     def test_against_mpmath(self, family, gamma):
-        z = self.Z if family is Family.FRECHET else self.Z[self.Z > 1.0]
+        z = self.Z[self.Z > 1.0] if family is Family.PARETO else self.Z
         ref = np.array([self._oracle(family, gamma, v) for v in z])
         got = lambda_table(family, gamma)(z)
         scale = max(1.0, lambda_complete(family, gamma))
@@ -298,7 +302,21 @@ class TestStatistic:
                     statistic(family, StandardizedSample(rows[i], None), g).value
                     for i in range(12)
                 ])
-                assert np.max(np.abs(fast - ref)) < 1e-8 * max(1.0, np.max(ref))
+                assert np.max(np.abs(fast - ref)) < 1e-13 * max(1.0, np.max(ref))
+
+    def test_single_lambda_route(self, monkeypatch):
+        # No production path may evaluate lam through the per-value quadrature.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("per-value lam quadrature called")
+
+        monkeypatch.setattr(stat, "_lambda_via_complement", forbidden)
+        monkeypatch.setattr(stat, "small_lambda", forbidden)
+        lambda_table.cache_clear()
+        lambda_table(Family.WEIBULL, 1.0)
+        rng = np.random.default_rng(106)
+        for family in ALL_FAMILIES:
+            y = _standardized(family, 20, rng)
+            assert np.isfinite(statistic(family, y, 1.0).value)
 
     def test_rejects_non_finite_values(self):
         # This Pareto fit overflows to Y = inf; it must fail on the input
@@ -367,8 +385,6 @@ class TestPopulationDelta:
         from mincf.estimation import fit_batch
         from mincf.families import sample_alternative
         alt = parse_alternative("G(3,1)")
-        table = lambda_table(Family.WEIBULL, 1.0)
-        lc = l_constant(Family.WEIBULL, 1.0)
         means = {}
         for n in (500, 2000):
             vals = []
@@ -377,6 +393,6 @@ class TestPopulationDelta:
                 x = sample_alternative(alt, n, rng)[None, :]
                 c, phi, ok, _ = fit_batch(Family.WEIBULL, x)
                 y = (x / c[:, None]) ** phi[:, None]
-                vals.append(batch_statistics(Family.WEIBULL, 1.0, y, table, lc)[0] / n)
+                vals.append(batch_statistics(Family.WEIBULL, 1.0, y)[0] / n)
             means[n] = np.mean(vals)
         assert abs(means[500] - means[2000]) / means[2000] < 0.10
