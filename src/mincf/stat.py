@@ -439,12 +439,14 @@ def lambda_table(family: Family, gamma: float) -> LambdaTable:
     u_lo, u_hi = math.log(z_lo), math.log(z_hi)
 
     gl_nodes, gl_weights = np.polynomial.legendre.leggauss(32)
-    pieces = np.array([0.0, 0.05, 0.2, 1.0, 4.0, 16.0, np.inf])
+    pieces = [0.0, 0.05, 0.2, 1.0, 4.0, 16.0]
+    while pieces[-1] < 1.0 / z_lo:  # ratio 4 up to 1/z_lo, as psi0 is singular at t = 0
+        pieces.append(4.0 * pieces[-1])
 
     def f(u):
         # lam_inf minus int_0^(1/z) (1 - z t) psi0(t) e^(-g t) dt at every z at once, by
-        # Gauss-Legendre on `pieces` cut at 1/z (~1e-15 off small_lambda). One piece
-        # alone is off by 1e-6 at g = 0.2, even with 128 nodes.
+        # Gauss-Legendre on `pieces` cut at 1/z: within 1e-15 * max(1, lam_inf) of
+        # small_lambda for g in [0.001, 1000]. A last piece [16, 40/g] lost 5e-7 at g = 0.02.
         z = np.exp(u)[:, None]
         lo = np.minimum(pieces[:-1], 1.0 / z)
         hw = 0.5 * (np.minimum(pieces[1:], 1.0 / z) - lo)

@@ -230,7 +230,7 @@ class TestClosedFormLambda:
             return float(mp.quad(f, sorted({mp.mpf(0), 1 / z, mp.mpf(1), mp.inf})))
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
-    @pytest.mark.parametrize("gamma", [0.2, 0.5, 1.0, 5.0, 8.0])
+    @pytest.mark.parametrize("gamma", [0.02, 0.05, 0.2, 0.5, 1.0, 5.0, 8.0])
     def test_against_mpmath(self, family, gamma):
         z = self.Z[self.Z > 1.0] if family is Family.PARETO else self.Z
         ref = np.array([self._oracle(family, gamma, v) for v in z])
