@@ -33,7 +33,7 @@ from .families import (
 from .stat import batch_statistics, l_constant, lambda_table, statistic
 
 #: Bump when the statistic implementation changes; cached nulls are keyed on it.
-STATISTIC_CODE_VERSION = "4"
+STATISTIC_CODE_VERSION = "5"
 
 #: Replicates per work unit. Fixed so that the chunk layout (and therefore
 #: every floating-point reduction) is independent of the worker count.

@@ -1,8 +1,10 @@
 """Shared oracle utilities for the test suite.
 
-Oracles are kept independent of the package's own quadrature: brute-force
-midpoint sums, scipy.integrate.quad with explicit kink points, and mpmath
-high-precision quadrature.
+Oracles: brute-force midpoint sums, scipy.integrate.quad with explicit kink
+points, and mpmath high-precision quadrature. The package's own integrate()
+also wraps scipy.integrate.quad, so these oracles are independent of its
+production routes only: closed forms plus a fixed Gauss-Legendre rule, which
+share no code with QUADPACK.
 """
 import numpy as np
 from scipy import integrate as _si

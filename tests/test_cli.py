@@ -244,7 +244,9 @@ class TestSizeAndPowerThroughCLI:
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
     # scipy.optimize costs about 0.3 s of start-up and no command needs it;
-    # scipy.integrate would load it too. statistic() must need neither.
+    # scipy.integrate would load it too. statistic() must need neither. As
+    # special.integrate imports scipy.integrate on its first call, this also
+    # shows that no production path (L, the lam tables, statistic()) calls it.
     import mincf
 
     src = os.path.dirname(os.path.dirname(mincf.__file__))

@@ -95,6 +95,10 @@ class TestIntegrate:
         with pytest.raises(DomainError):
             integrate(np.exp, -1.0, 1.0)
 
+    def test_non_finite_integrand(self):
+        with np.errstate(all="ignore"), pytest.raises(DomainError):
+            integrate(lambda t: np.log(t - 0.5), 0.0, 1.0)
+
 
 class TestBesselK:
     def test_half_integer_closed_form(self):

@@ -34,6 +34,15 @@ ALL_FAMILIES = list(Family)
 GAMMAS = (0.5, 1.0, 5.0)
 
 
+def _mp_psi0(family):
+    """psi0 of the standard member as an mpmath function."""
+    if family is Family.FRECHET:
+        return lambda t: 1 - mp.exp(-t) + t * mp.e1(t)
+    if family is Family.WEIBULL:
+        return lambda t: t * (1 - mp.exp(-1 / t))
+    return lambda t: t * (1 - mp.log(t)) if t <= 1 else mp.mpf(1)
+
+
 def _standardized(family, n, rng, params=ParamPair(1.0, 1.0)):
     x = sample_null(family, params, n, rng)
     return standardize(x, mle(family, x))
@@ -149,6 +158,18 @@ class TestLConstant:
         ) / g ** 1.5
         assert abs(l_constant(Family.WEIBULL, g) - printed) < 1e-14
 
+    @pytest.mark.parametrize("family", [Family.PARETO, Family.FRECHET])
+    @pytest.mark.parametrize("gamma", [0.02, 30.0, 1000.0])
+    def test_against_mpmath_outside_tested_gammas(self, family, gamma):
+        # Not in GAMMAS above: l_constant_oracle's unsplit scipy quad loses the mass
+        # near t ~ 1/gamma (at gamma = 1000 it is 2e-7 off for Pareto, 4e-7 for Frechet).
+        with mp.workdps(30):
+            g = mp.mpf(gamma)
+            psi0 = _mp_psi0(family)
+            ref = float(mp.quad(lambda t: psi0(t) ** 2 * mp.exp(-g * t),
+                                sorted({mp.mpf(0), 1 / g, mp.mpf(1), mp.inf})))
+        assert abs(l_constant(family, gamma) - ref) <= 5e-12 * ref
+
 
 class TestSmallLambda:
     @pytest.mark.parametrize("z", [0.3, 1.0, 4.0])
@@ -220,12 +241,7 @@ class TestClosedFormLambda:
     def _oracle(family, gamma, z):
         with mp.workdps(20):
             g, z = mp.mpf(gamma), mp.mpf(z)
-            if family is Family.FRECHET:
-                psi0 = lambda t: 1 - mp.exp(-t) + t * mp.e1(t)
-            elif family is Family.WEIBULL:
-                psi0 = lambda t: t * (1 - mp.exp(-1 / t))
-            else:
-                psi0 = lambda t: t * (1 - mp.log(t)) if t <= 1 else mp.mpf(1)
+            psi0 = _mp_psi0(family)
             f = lambda t: min(1, t * z) * psi0(t) * mp.exp(-g * t)
             return float(mp.quad(f, sorted({mp.mpf(0), 1 / z, mp.mpf(1), mp.inf})))
 
@@ -237,6 +253,14 @@ class TestClosedFormLambda:
         got = lambda_table(family, gamma)(z)
         scale = max(1.0, lambda_complete(family, gamma))
         assert np.max(np.abs(got - ref)) <= 5e-10 * scale
+
+    @pytest.mark.parametrize("z", [1e-8, 1e-3])
+    def test_weibull_reference_at_large_gamma(self, z):
+        # The mass of the complement integrand sits near t ~ 1/gamma = 1e-3, deep
+        # inside [0, 1/z]; a quadrature that never samples there returns lam_inf.
+        lam_inf = lambda_complete(Family.WEIBULL, 1000.0)
+        ref = self._oracle(Family.WEIBULL, 1000.0, z)
+        assert abs(small_lambda(Family.WEIBULL, 1000.0, z) - ref) <= 1e-12 * lam_inf
 
 
 class TestStatistic:
