@@ -10,11 +10,13 @@ run or how the replicates are batched.
 """
 from __future__ import annotations
 
+import math
+import numbers
 import os
 import uuid
 import zipfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -88,6 +90,20 @@ class PowerResult:
     rate: float
 
 
+def _count(name: str, value, low: int) -> int:
+    """A config integer >= low; bools, floats and strings are config errors."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
+def _number(name: str, value, low: float, high: float) -> float:
+    """A config number in the open interval (low, high); NaN and strings are not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not low < value < high:
+        raise ConfigError(f"{name} must be a number in ({low:g}, {high:g}), got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class StudyConfig:
     """Declarative description of a power study."""
@@ -104,14 +120,19 @@ class StudyConfig:
     def __post_init__(self):
         object.__setattr__(self, "families", tuple(self.families))
         object.__setattr__(self, "alternatives", tuple(self.alternatives))
-        object.__setattr__(self, "gammas", tuple(float(g) for g in self.gammas))
-        object.__setattr__(self, "sample_sizes", tuple(int(n) for n in self.sample_sizes))
+        object.__setattr__(
+            self, "gammas", tuple(_number("gamma", g, 0.0, math.inf) for g in self.gammas)
+        )
+        object.__setattr__(
+            self, "sample_sizes", tuple(_count("sample size", n, 3) for n in self.sample_sizes)
+        )
         if not self.families or not self.alternatives or not self.gammas or not self.sample_sizes:
             raise ConfigError("families, alternatives, gammas and sample_sizes must be nonempty")
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigError("alpha must lie in (0, 1)")
-        if self.replicates < 100:
-            raise ConfigError("need at least 100 replicates")
+        _number("alpha", self.alpha, 0.0, 1.0)
+        _count("replicates", self.replicates, 100)
+        if self.crit_replicates is not None:
+            _count("crit_replicates", self.crit_replicates, 100)
+        _count("seed", self.seed, 0)
 
     @property
     def effective_crit_replicates(self) -> int:
@@ -119,15 +140,16 @@ class StudyConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "StudyConfig":
-        known = {
-            "families", "alternatives", "gammas", "sample_sizes", "alpha",
-            "replicates", "crit_replicates", "seed",
-        }
-        extra = set(d) - known
+        if not isinstance(d, dict):
+            raise ConfigError("a study config must be a JSON object")
+        extra = set(d) - {f.name for f in fields(cls)}
         if extra:
             raise ConfigError(f"unknown study config fields: {sorted(extra)}")
         if "families" not in d or "alternatives" not in d:
             raise ConfigError("study config needs 'families' and 'alternatives'")
+        for name in ("families", "alternatives", "gammas", "sample_sizes"):
+            if not isinstance(d.get(name, []), list):
+                raise ConfigError(f"{name} must be a list, got {d[name]!r}")
         kwargs = dict(d)
         kwargs["families"] = tuple(Family.parse(f) for f in d["families"])
         kwargs["alternatives"] = tuple(
@@ -161,12 +183,10 @@ class StudyResult:
 # ---------------------------------------------------------------------------
 
 def _draw(sampler, n: int, rng: np.random.Generator) -> np.ndarray:
-    kind = sampler[0]
-    if kind == "null":
-        _, family, c, phi = sampler
-        return sample_null(family, ParamPair(c, phi), n, rng)
-    _, spec = sampler
-    return sample_alternative(spec, n, rng)
+    if sampler[0] == "null":
+        _, family, params = sampler
+        return sample_null(family, params, n, rng)
+    return sample_alternative(sampler[1], n, rng)
 
 
 def _simulate_chunk(family, n, gammas, seed, i0, i1, sampler):
@@ -183,7 +203,7 @@ def _simulate_chunk(family, n, gammas, seed, i0, i1, sampler):
     stats = np.empty((len(gammas), count))
     pending = np.arange(count)
     redraws = 0
-    ever_failed: set[int] = set()
+    failed = np.zeros(count, dtype=bool)
     for attempt in range(_MAX_ATTEMPTS):
         c, phi, ok, _ = fit_batch(family, x[pending])
         good = pending[ok]
@@ -195,7 +215,7 @@ def _simulate_chunk(family, n, gammas, seed, i0, i1, sampler):
         if pending.size == 0:
             break
         redraws += pending.size
-        ever_failed.update(int(j) for j in pending)
+        failed[pending] = True
         for j in pending:
             x[j] = _draw(sampler, n, rngs[j])
     else:
@@ -203,11 +223,7 @@ def _simulate_chunk(family, n, gammas, seed, i0, i1, sampler):
             f"replicates kept failing the MLE after {_MAX_ATTEMPTS} redraws "
             f"({family.value}, n={n})"
         )
-    return stats, redraws, len(ever_failed)
-
-
-def _simulate_chunk_star(args):
-    return _simulate_chunk(*args)
+    return stats, redraws, int(failed.sum())
 
 
 def _simulate_statistics(family, n, gammas, big_n, seed, sampler, workers):
@@ -220,7 +236,7 @@ def _simulate_statistics(family, n, gammas, big_n, seed, sampler, workers):
         parts = [_simulate_chunk(*c) for c in chunks]
     else:
         with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
-            parts = list(pool.map(_simulate_chunk_star, chunks))
+            parts = list(pool.map(_simulate_chunk, *zip(*chunks)))
     stats = np.concatenate([p[0] for p in parts], axis=1)
     redraws = sum(p[1] for p in parts)
     failed = sum(p[2] for p in parts)
@@ -262,9 +278,8 @@ def build_nulls(
     nulls = {g: cache.load(family, n, g, replicates, seed) if cache else None for g in gammas}
     missing = tuple(g for g, null in nulls.items() if null is None)
     if missing:
-        sampler = ("null", family, params.c, params.phi)
         stats, redraws = _simulate_statistics(
-            family, n, missing, replicates, seed, sampler, workers
+            family, n, missing, replicates, seed, ("null", family, params), workers
         )
         for g, row in zip(missing, stats):
             nulls[g] = NullDistribution(
@@ -325,16 +340,22 @@ def power(
     """Empirical rejection rate against a fixed alternative."""
     if (null.family, null.n) != (family, n) or null.gamma != float(gamma):
         raise ConfigError("null distribution does not match (family, n, gamma)")
-    cv = critical_value(null, alpha)
+    return _powers(alt, alpha, replicates, (null,), seed, workers)[0]
+
+
+def _powers(alt, alpha, replicates, nulls, seed, workers) -> list[PowerResult]:
+    """The rate against ``alt`` at each null's gamma, from one pass; nulls share (family, n)."""
+    family, n = nulls[0].family, nulls[0].n
+    cvs = [critical_value(null, alpha) for null in nulls]
     stats, _ = _simulate_statistics(
-        family, n, (float(gamma),), replicates, seed, ("alt", alt), workers
+        family, n, tuple(null.gamma for null in nulls), replicates, seed, ("alt", alt), workers
     )
-    rejections = int((stats[0] > cv).sum())
-    return PowerResult(
-        family=family, alternative=alt, n=n, gamma=float(gamma), alpha=alpha,
-        rejections=rejections, replicates=replicates,
-        rate=rejections / replicates,
-    )
+    rejections = [int((row > cv).sum()) for row, cv in zip(stats, cvs)]
+    return [
+        PowerResult(family=family, alternative=alt, n=n, gamma=null.gamma, alpha=alpha,
+                    rejections=r, replicates=replicates, rate=r / replicates)
+        for null, r in zip(nulls, rejections)
+    ]
 
 
 def derive_seed(base: int, key: tuple[int, ...]) -> int:
@@ -378,40 +399,40 @@ def run_study(
     cache: "NullCache | None" = None,
     progress=None,
 ) -> StudyResult:
-    """Run a full power study: one null per (family, n, gamma), then all cells.
+    """Run a full power study: one null pass per (family, n) for all gammas,
+    then one power pass per (family, n, alternative).
 
-    Cell failures are collected and reported without aborting the rest of
-    the study. Results are deterministic functions of the config seed.
+    Failures are collected and reported without aborting the rest of the
+    study. Results are deterministic functions of the config seed.
     """
     results: list[PowerResult] = []
     failures: list[str] = []
     n_crit = config.effective_crit_replicates
     for fi, family in enumerate(config.families):
         for ni, n in enumerate(config.sample_sizes):
-            for gi, gamma in enumerate(config.gammas):
-                label = f"{family.value} n={n} gamma={gamma:g}"
+            label = f"{family.value} n={n}"
+            try:
+                nulls = build_nulls(
+                    family, n, config.gammas, n_crit,
+                    derive_seed(config.seed, (0, fi, ni)),
+                    workers=workers, cache=cache,
+                )
+            except Exception as exc:
+                failures.append(f"null {label}: {exc}")
+                continue
+            for ai, alt in enumerate(config.alternatives):
                 try:
-                    null = build_null(
-                        family, n, gamma, n_crit,
-                        derive_seed(config.seed, (0, fi, ni, gi)),
-                        workers=workers, cache=cache,
+                    cells = _powers(
+                        alt, config.alpha, config.replicates, nulls,
+                        derive_seed(config.seed, (1, fi, ni, ai)), workers,
                     )
                 except Exception as exc:
-                    failures.append(f"null {label}: {exc}")
+                    failures.append(f"power {label} vs {alt}: {exc}")
                     continue
-                for ai, alt in enumerate(config.alternatives):
-                    try:
-                        res = power(
-                            family, alt, n, gamma, config.alpha,
-                            config.replicates, null,
-                            derive_seed(config.seed, (1, fi, ni, gi, ai)),
-                            workers=workers,
-                        )
-                        results.append(res)
-                        if progress is not None:
-                            progress(res)
-                    except Exception as exc:
-                        failures.append(f"power {label} vs {alt}: {exc}")
+                results.extend(cells)
+                if progress is not None:
+                    for res in cells:
+                        progress(res)
     return StudyResult(config=config, results=tuple(results), failures=tuple(failures))
 
 

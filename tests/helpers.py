@@ -23,8 +23,15 @@ def midpoint_oracle(f, a, b, points=10_000_000, chunks=20):
     return total
 
 
-def quad_pieces(f, points, upper=np.inf):
-    """scipy quadrature split at the given interior points (sorted, > 0)."""
+def quad_pieces(f, points, upper=np.inf, gamma=None):
+    """scipy quadrature split at the given interior points (> 0).
+
+    For an integrand damped by exp(-gamma t) it also splits at 1/gamma,
+    10/gamma and 100/gamma: at large gamma the mass sits near t ~ 1/gamma,
+    which an unsplit quad over [0, inf) steps past.
+    """
+    if gamma is not None:
+        points = set(points) | {1.0 / gamma, 10.0 / gamma, 100.0 / gamma}
     total, lo = 0.0, 0.0
     for p in sorted(points):
         if lo < p:
@@ -43,7 +50,7 @@ def lambda_oracle(family: Family, gamma: float, z: float) -> float:
     def f(t):
         return min(1.0, t * z) * null_min_cf(family, t) * np.exp(-gamma * t)
 
-    return quad_pieces(f, kinks)
+    return quad_pieces(f, kinks, gamma=gamma)
 
 
 def l_constant_oracle(family: Family, gamma: float) -> float:
@@ -53,11 +60,11 @@ def l_constant_oracle(family: Family, gamma: float) -> float:
         return v * v * np.exp(-gamma * t)
 
     kinks = {1.0} if family is Family.PARETO else set()
-    return quad_pieces(f, kinks)
+    return quad_pieces(f, kinks, gamma=gamma)
 
 
 def kernel_oracle(gamma: float, z1: float, z2: float) -> float:
     def f(t):
         return min(1.0, t * z1) * min(1.0, t * z2) * np.exp(-gamma * t)
 
-    return quad_pieces(f, {1.0 / z1, 1.0 / z2})
+    return quad_pieces(f, {1.0 / z1, 1.0 / z2}, gamma=gamma)

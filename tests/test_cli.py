@@ -196,6 +196,26 @@ class TestPowerStudyCommand:
         assert code == EXIT_INPUT
         assert "NOPE" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value", [
+        ("replicates", "500"), ("sample_sizes", ["x"]), ("seed", "x"), ("gammas", [-1]),
+        ("gammas", ["nan"]), ("sample_sizes", [2]), ("crit_replicates", 50),
+        ("gammas", 1.0), ("sample_sizes", 20),
+    ])
+    def test_invalid_config_value_exits_2(self, tmp_path, capsys, field, value):
+        config = {"families": ["weibull"], "alternatives": ["LN(1)"], "gammas": [1.0],
+                  "sample_sizes": [10], "replicates": 200, "seed": 1, field: value}
+        cfg_path = tmp_path / "study.json"
+        cfg_path.write_text(json.dumps(config))
+        code = main(["power-study", "--config", str(cfg_path), "--no-cache",
+                     "--out-csv", str(tmp_path / "out.csv")])
+        assert code == EXIT_INPUT
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_config_not_an_object_exits_2(self, tmp_path):
+        cfg_path = tmp_path / "study.json"
+        cfg_path.write_text("5")
+        assert main(["power-study", "--config", str(cfg_path), "--no-cache"]) == EXIT_INPUT
+
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["power-study", "--config", str(tmp_path / "nope.json"),
                      "--no-cache"]) == EXIT_INPUT

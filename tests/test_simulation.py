@@ -162,8 +162,8 @@ class TestBuildNulls:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
-                return map(fn, items)
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
         monkeypatch.setattr(simulation, "ProcessPoolExecutor", SerialPool)
         serial = build_null(Family.PARETO, 10, 1.0, 600, seed=3, workers=1)
@@ -270,6 +270,36 @@ class TestStudy:
         a = run_study(cfg)
         b = run_study(cfg)
         assert a.results == b.results
+
+    def test_one_pass_per_family_n_and_alternative(self, monkeypatch):
+        # Each cell equals a standalone power() at key (1, fi, ni, ai) against
+        # the build_nulls at (0, fi, ni), from families x sizes x
+        # (1 + alternatives) engine passes in all.
+        cfg = StudyConfig(
+            families=(Family.WEIBULL, Family.PARETO),
+            alternatives=(parse_alternative("LN(1)"), parse_alternative("G(2,1)")),
+            gammas=(0.5, 1.0, 5.0), sample_sizes=(10,), replicates=200,
+            crit_replicates=300, seed=23,
+        )
+        real, calls = simulation._simulate_statistics, []
+
+        def counted(*args):
+            calls.append(args[2])
+            return real(*args)
+
+        monkeypatch.setattr(simulation, "_simulate_statistics", counted)
+        study = run_study(cfg)
+        assert not study.failures
+        assert calls == [cfg.gammas] * 2 * 1 * (1 + 2)
+        cells = iter(study.results)
+        for fi, family in enumerate(cfg.families):
+            nulls = build_nulls(family, 10, cfg.gammas, 300, derive_seed(23, (0, fi, 0)))
+            for ai, alt in enumerate(cfg.alternatives):
+                for null in nulls:
+                    alone = power(family, alt, 10, null.gamma, 0.05, 200, null,
+                                  derive_seed(23, (1, fi, 0, ai)))
+                    assert next(cells) == alone
+        assert next(cells, None) is None
 
     def test_failures_collected_without_abort(self):
         cfg = StudyConfig(
