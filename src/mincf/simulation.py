@@ -6,7 +6,9 @@ statistic depends on gamma, so one draw-and-fit pass at a seed serves every
 gamma: each replicate is drawn, fitted and standardized once, then scored at
 each gamma. Replicate i draws from its own counter-derived random substream,
 which makes results bit-identical for a fixed seed no matter how many workers
-run or how the replicates are batched.
+run or how the replicates are batched. A power study runs all its passes, a
+null per (family, n) and an alternative per cell, through one process pool
+that holds every chunk of every pass at once.
 """
 from __future__ import annotations
 
@@ -226,26 +228,100 @@ def _simulate_chunk(family, n, gammas, seed, i0, i1, sampler):
     return stats, redraws, int(failed.sum())
 
 
-def _simulate_statistics(family, n, gammas, big_n, seed, sampler, workers):
-    """All replicate statistics, one row per gamma, chunked deterministically."""
+def _run_passes(passes, workers):
+    """Run simulation passes: an iterator over each one's (stats, redraws),
+    or the exception it raised, in pass order.
+
+    A pass is (family, n, gammas, replicates, seed, sampler), and its stats
+    have one row per gamma. Every chunk of every pass goes to one process
+    pool before any result is read, so short passes run side by side; the
+    pool gets min(workers, chunks) processes, since fork starts each one up
+    front. With one process the chunks run here, a pass per step.
+    """
+    _count("workers", workers, 1)
     chunks = [
-        (family, n, gammas, seed, i0, min(i0 + _CHUNK, big_n), sampler)
-        for i0 in range(0, big_n, _CHUNK)
+        [(family, n, gammas, seed, i0, min(i0 + _CHUNK, big_n), sampler)
+         for i0 in range(0, big_n, _CHUNK)]
+        for family, n, gammas, big_n, seed, sampler in passes
     ]
-    if workers <= 1 or len(chunks) == 1:
-        parts = [_simulate_chunk(*c) for c in chunks]
-    else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
-            parts = list(pool.map(_simulate_chunk, *zip(*chunks)))
-    stats = np.concatenate([p[0] for p in parts], axis=1)
-    redraws = sum(p[1] for p in parts)
-    failed = sum(p[2] for p in parts)
-    if failed > 0.01 * big_n:
-        raise EngineError(
-            f"MLE failed on {failed} of {big_n} replicates "
-            f"({family.value}, n={n}, gamma={','.join(f'{g:g}' for g in gammas)})"
-        )
+    size = min(workers, sum(map(len, chunks)))
+    if size <= 1:
+        return (_join(p, (_simulate_chunk(*c) for c in cs)) for p, cs in zip(passes, chunks))
+    return _pooled(passes, chunks, size)
+
+
+def _pooled(passes, chunks, size):
+    """The pool branch of :func:`_run_passes`."""
+    pool = ProcessPoolExecutor(max_workers=size)
+    try:
+        futures = [[pool.submit(_simulate_chunk, *c) for c in cs] for cs in chunks]
+        for p, fs in zip(passes, futures):
+            yield _join(p, (f.result() for f in fs))
+    finally:  # a consumer that stops early does not wait for the passes it left
+        pool.shutdown(cancel_futures=True)
+
+
+def _join(p, parts):
+    """A pass's (stats, redraws) from its chunk results, or the exception it raised."""
+    family, n, gammas, big_n = p[:4]
+    try:
+        parts = list(parts)
+        stats = np.concatenate([part[0] for part in parts], axis=1)
+        redraws = sum(part[1] for part in parts)
+        failed = sum(part[2] for part in parts)
+        if failed > 0.01 * big_n:
+            raise EngineError(
+                f"MLE failed on {failed} of {big_n} replicates "
+                f"({family.value}, n={n}, gamma={','.join(f'{g:g}' for g in gammas)})"
+            )
+    except Exception as exc:
+        return exc
     return stats, redraws
+
+
+def _null_plan(family, n, gammas, replicates, seed, params, cache):
+    """The nulls the cache holds, by gamma (None on a miss), and the pass that
+    simulates the misses, or None if there are none."""
+    if n < 3:
+        raise DomainError("need n >= 3")
+    if replicates < 100:
+        raise DomainError("need at least 100 replicates")
+    _count("seed", seed, 0)
+    nulls = {g: cache.load(family, n, g, replicates, seed) if cache else None for g in gammas}
+    missing = tuple(g for g, null in nulls.items() if null is None)
+    if not missing:
+        return nulls, None
+    return nulls, (family, n, missing, replicates, seed, ("null", family, params))
+
+
+def _fill_nulls(nulls, null_pass, outcome, cache):
+    """Store a null pass's outcome in ``nulls`` and the cache; raise if it failed."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    family, n, missing, replicates, seed, _ = null_pass
+    stats, redraws = outcome
+    for g, row in zip(missing, stats):
+        nulls[g] = NullDistribution(
+            family=family, n=n, gamma=g, replicates=replicates,
+            sorted_stats=np.sort(row), seed=seed, redraws=redraws,
+        )
+        if cache is not None:
+            cache.save(nulls[g])
+
+
+def _rates(alt, alpha, replicates, nulls, outcome) -> list[PowerResult]:
+    """The rate against ``alt`` at each null's gamma from one alternative
+    pass's outcome; raise if the pass failed."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    stats, _ = outcome
+    rejections = [int((row > critical_value(null, alpha)).sum())
+                  for row, null in zip(stats, nulls)]
+    return [
+        PowerResult(family=null.family, alternative=alt, n=null.n, gamma=null.gamma,
+                    alpha=alpha, rejections=r, replicates=replicates, rate=r / replicates)
+        for null, r in zip(nulls, rejections)
+    ]
 
 
 def build_nulls(
@@ -269,25 +345,12 @@ def build_nulls(
     counted in ``redraws``. Each null equals what a separate call for its
     gamma at the same seed gives, bit for bit, and is cached under its own key.
     """
-    if n < 3:
-        raise DomainError("need n >= 3")
-    if replicates < 100:
-        raise DomainError("need at least 100 replicates")
     gammas = tuple(float(g) for g in gammas)
     cache = cache if params == STANDARD_PARAMS else None
-    nulls = {g: cache.load(family, n, g, replicates, seed) if cache else None for g in gammas}
-    missing = tuple(g for g, null in nulls.items() if null is None)
-    if missing:
-        stats, redraws = _simulate_statistics(
-            family, n, missing, replicates, seed, ("null", family, params), workers
-        )
-        for g, row in zip(missing, stats):
-            nulls[g] = NullDistribution(
-                family=family, n=n, gamma=g, replicates=replicates,
-                sorted_stats=np.sort(row), seed=seed, redraws=redraws,
-            )
-            if cache is not None:
-                cache.save(nulls[g])
+    nulls, null_pass = _null_plan(family, n, gammas, replicates, seed, params, cache)
+    # Called even when the cache holds every gamma, so workers is checked.
+    for outcome in _run_passes([null_pass] if null_pass else [], workers):
+        _fill_nulls(nulls, null_pass, outcome, cache)
     return tuple(nulls[g] for g in gammas)
 
 
@@ -340,22 +403,11 @@ def power(
     """Empirical rejection rate against a fixed alternative."""
     if (null.family, null.n) != (family, n) or null.gamma != float(gamma):
         raise ConfigError("null distribution does not match (family, n, gamma)")
-    return _powers(alt, alpha, replicates, (null,), seed, workers)[0]
-
-
-def _powers(alt, alpha, replicates, nulls, seed, workers) -> list[PowerResult]:
-    """The rate against ``alt`` at each null's gamma, from one pass; nulls share (family, n)."""
-    family, n = nulls[0].family, nulls[0].n
-    cvs = [critical_value(null, alpha) for null in nulls]
-    stats, _ = _simulate_statistics(
-        family, n, tuple(null.gamma for null in nulls), replicates, seed, ("alt", alt), workers
+    _count("seed", seed, 0)
+    (outcome,) = _run_passes(
+        [(family, n, (null.gamma,), replicates, seed, ("alt", alt))], workers
     )
-    rejections = [int((row > cv).sum()) for row, cv in zip(stats, cvs)]
-    return [
-        PowerResult(family=family, alternative=alt, n=n, gamma=null.gamma, alpha=alpha,
-                    rejections=r, replicates=replicates, rate=r / replicates)
-        for null, r in zip(nulls, rejections)
-    ]
+    return _rates(alt, alpha, replicates, (null,), outcome)[0]
 
 
 def derive_seed(base: int, key: tuple[int, ...]) -> int:
@@ -399,40 +451,54 @@ def run_study(
     cache: "NullCache | None" = None,
     progress=None,
 ) -> StudyResult:
-    """Run a full power study: one null pass per (family, n) for all gammas,
-    then one power pass per (family, n, alternative).
+    """Run a full power study: one null pass per (family, n) for all gammas
+    and one power pass per (family, n, alternative), all run by one
+    :func:`_run_passes` call, so a pool holds every pass's chunks at once.
 
     Failures are collected and reported without aborting the rest of the
-    study. Results are deterministic functions of the config seed.
+    study; a failed null drops its (family, n)'s cells, whose passes have run
+    by then. Results are deterministic functions of the config seed and come,
+    like the ``progress`` calls, in (family, n, alternative, gamma) order.
     """
-    results: list[PowerResult] = []
-    failures: list[str] = []
     n_crit = config.effective_crit_replicates
+    groups, passes = [], []
     for fi, family in enumerate(config.families):
         for ni, n in enumerate(config.sample_sizes):
-            label = f"{family.value} n={n}"
+            nulls, null_pass = _null_plan(
+                family, n, config.gammas, n_crit, derive_seed(config.seed, (0, fi, ni)),
+                STANDARD_PARAMS, cache,
+            )
+            groups.append((f"{family.value} n={n}", nulls, null_pass))
+            passes += [null_pass] if null_pass else []
+            passes += [
+                (family, n, config.gammas, config.replicates,
+                 derive_seed(config.seed, (1, fi, ni, ai)), ("alt", alt))
+                for ai, alt in enumerate(config.alternatives)
+            ]
+    results: list[PowerResult] = []
+    failures: list[str] = []
+    outcomes = _run_passes(passes, workers)
+    for label, nulls, null_pass in groups:
+        null_outcome = next(outcomes) if null_pass else None
+        try:
+            if null_pass:
+                _fill_nulls(nulls, null_pass, null_outcome, cache)
+        except Exception as exc:
+            failures.append(f"null {label}: {exc}")
+            for _ in zip(config.alternatives, outcomes):  # drop its cells' outcomes
+                pass
+            continue
+        cell_nulls = tuple(nulls[g] for g in config.gammas)
+        for alt, outcome in zip(config.alternatives, outcomes):
             try:
-                nulls = build_nulls(
-                    family, n, config.gammas, n_crit,
-                    derive_seed(config.seed, (0, fi, ni)),
-                    workers=workers, cache=cache,
-                )
+                cells = _rates(alt, config.alpha, config.replicates, cell_nulls, outcome)
             except Exception as exc:
-                failures.append(f"null {label}: {exc}")
+                failures.append(f"power {label} vs {alt}: {exc}")
                 continue
-            for ai, alt in enumerate(config.alternatives):
-                try:
-                    cells = _powers(
-                        alt, config.alpha, config.replicates, nulls,
-                        derive_seed(config.seed, (1, fi, ni, ai)), workers,
-                    )
-                except Exception as exc:
-                    failures.append(f"power {label} vs {alt}: {exc}")
-                    continue
-                results.extend(cells)
-                if progress is not None:
-                    for res in cells:
-                        progress(res)
+            results.extend(cells)
+            if progress is not None:
+                for res in cells:
+                    progress(res)
     return StudyResult(config=config, results=tuple(results), failures=tuple(failures))
 
 

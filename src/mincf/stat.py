@@ -303,51 +303,45 @@ def _pareto_lambda_high(g, z):
     eu = np.exp(-u)
     t1 = (-2.0 * z * np.expm1(-u) - eu * (2.0 * g + g * g / z)) / g ** 3
     t2 = eu * (g + z) / (g * g * z)
-    return t1 + t2 - math.exp(-g) / g ** 2 - z * _pareto_m1(g, a) - _pareto_m2(g, a)
+    # Both log moments take the series where a is small and otherwise share
+    # E1(g a), e^(-g a) and log a; E1 is the dearest call of the lambda layer.
+    small = a <= min(0.25, 1.0 / g)
+    ab = a[~small]
+    ga = g * ab
+    big = (ga, np.exp(-ga), np.log(ab), exp_integral_e1(ga))
+    return (t1 + t2 - math.exp(-g) / g ** 2
+            - z * _pareto_m1(g, a, small, big) - _pareto_m2(g, a, small, big))
 
 
 # Closed forms of the Pareto log-moment integrals via E1, plus series
-# replacements near zero where the closed forms lose precision.
+# replacements near zero where the closed forms lose precision. ``big`` holds
+# (g a, e^(-g a), log a, E1(g a)) on the a outside ``small``.
 
-def _pareto_m1(g, a):
+def _pareto_m1(g, a, small, big):
     """int_0^a t^2 log t e^(-g t) dt, vectorized over a in (0, 1]."""
-    a = np.asarray(a, dtype=float)
     out = np.empty_like(a)
-    small = a <= min(0.25, 1.0 / g)
     if np.any(small):
         out[small] = _poly_log_moment(g, a[small], 2)
-    big = ~small
-    if np.any(big):
-        ab = a[big]
-        ga = g * ab
-        ega = np.exp(-ga)
-        la = np.log(ab)
-        out[big] = (
-            -ega * (ga * ga + 2.0 * ga + 2.0) * la
-            - (ega * (ga + 3.0) + 2.0 * exp_integral_e1(ga))
-            + (3.0 - 2.0 * math.log(g) - 2.0 * EULER_GAMMA)
-        ) / g ** 3
+    ga, ega, la, e1 = big
+    out[~small] = (
+        -ega * (ga * ga + 2.0 * ga + 2.0) * la
+        - (ega * (ga + 3.0) + 2.0 * e1)
+        + (3.0 - 2.0 * math.log(g) - 2.0 * EULER_GAMMA)
+    ) / g ** 3
     return out
 
 
-def _pareto_m2(g, a):
+def _pareto_m2(g, a, small, big):
     """int_a^1 t log t e^(-g t) dt, vectorized over a in (0, 1]."""
-    a = np.asarray(a, dtype=float)
     full = (1.0 - EULER_GAMMA - math.log(g) - math.exp(-g) - exp_integral_e1(g)) / g ** 2
     out = np.empty_like(a)
-    small = a <= min(0.25, 1.0 / g)
     if np.any(small):
         out[small] = full - _poly_log_moment(g, a[small], 1)
-    big = ~small
-    if np.any(big):
-        ab = a[big]
-        ga = g * ab
-        ega = np.exp(-ga)
-        la = np.log(ab)
-        head = (-ega * (ga + 1.0) * la - ega - exp_integral_e1(ga)) / g ** 2 - (
-            -(1.0 - EULER_GAMMA - math.log(g)) / g ** 2
-        )
-        out[big] = full - head
+    ga, ega, la, e1 = big
+    head = (-ega * (ga + 1.0) * la - ega - e1) / g ** 2 - (
+        -(1.0 - EULER_GAMMA - math.log(g)) / g ** 2
+    )
+    out[~small] = full - head
     return out
 
 

@@ -147,6 +147,17 @@ class TestTestCommand:
         assert null is not None and null.sorted_stats.size == 300
 
 
+@pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--workers", "0"),
+                                         ("--workers", "-3")])
+@pytest.mark.parametrize("command", ["test", "critvals"])
+def test_out_of_range_seed_or_workers_exits_2(exp_data, capsys, command, flag, value):
+    args = {"test": ["test", "--data", exp_data], "critvals": ["critvals", "--n", "10"]}[command]
+    code = main(args + ["--family", "weibull", "--gamma", "1", "--replicates", "200",
+                        "--workers", "1", "--no-cache", flag, value])
+    assert code == EXIT_INPUT
+    assert f"{flag[2:]} must be an integer >= " in capsys.readouterr().err
+
+
 class TestCritvalsCommand:
     def test_alpha_ordering_and_determinism(self, tmp_path, capsys):
         out1 = tmp_path / "cv1.json"
@@ -185,6 +196,22 @@ class TestPowerStudyCommand:
         manifest = json.loads((tmp_path / "out_manifest.json").read_text())
         assert manifest["config"]["seed"] == 99
         assert manifest["failures"] == []
+
+    def test_csv_identical_across_worker_counts(self, tmp_path):
+        cfg_path = tmp_path / "study.json"
+        cfg_path.write_text(json.dumps({
+            "families": ["weibull", "frechet"], "alternatives": ["LN(1)", "G(2,1)"],
+            "gammas": [0.5, 5.0], "sample_sizes": [10], "replicates": 600,
+            "crit_replicates": 600, "seed": 41,
+        }))
+        csvs = []
+        for workers in ("1", "2"):
+            csv_path = tmp_path / f"w{workers}.csv"
+            assert main(["power-study", "--config", str(cfg_path), "--out-csv", str(csv_path),
+                         "--workers", workers, "--no-cache"]) == EXIT_OK
+            csvs.append(csv_path.read_bytes())
+        assert csvs[0] == csvs[1]
+        assert len(csvs[0].splitlines()) == 1 + 2 * 2 * 2
 
     def test_invalid_alternative_exits_2_naming_it(self, tmp_path, capsys):
         cfg_path = tmp_path / "study.json"

@@ -1,4 +1,5 @@
 import os
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -136,6 +137,31 @@ class TestBuildNull:
 GAMMAS = (0.5, 1.0, 5.0)
 
 
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Swap the engine's process pool for one that runs each submitted call
+    here, starting no process; the list it returns gets each pool's size."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def submit(self, fn, *args):
+            future = Future()
+            try:
+                future.set_result(fn(*args))
+            except Exception as exc:
+                future.set_exception(exc)
+            return future
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(simulation, "ProcessPoolExecutor", SerialPool)
+    return sizes
+
+
 class TestBuildNulls:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("family", list(Family))
@@ -147,28 +173,10 @@ class TestBuildNulls:
             assert np.array_equal(null.sorted_stats, alone.sorted_stats)
             assert null.redraws == alone.redraws
 
-    def test_pool_sized_to_chunks(self, monkeypatch):
-        requested = []
-
-        class SerialPool:
-            """Records max_workers and maps in this process, starting none."""
-
-            def __init__(self, max_workers):
-                requested.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(simulation, "ProcessPoolExecutor", SerialPool)
+    def test_pool_sized_to_chunks(self, serial_pool):
         serial = build_null(Family.PARETO, 10, 1.0, 600, seed=3, workers=1)
         wide = build_null(Family.PARETO, 10, 1.0, 600, seed=3, workers=64)
-        assert requested == [2]
+        assert serial_pool == [2]
         assert np.array_equal(serial.sorted_stats, wide.sorted_stats)
 
     def test_failure_counted_once_and_names_all_gammas(self, monkeypatch):
@@ -281,16 +289,16 @@ class TestStudy:
             gammas=(0.5, 1.0, 5.0), sample_sizes=(10,), replicates=200,
             crit_replicates=300, seed=23,
         )
-        real, calls = simulation._simulate_statistics, []
+        real, calls = simulation._run_passes, []
 
-        def counted(*args):
-            calls.append(args[2])
-            return real(*args)
+        def counted(passes, workers):
+            calls.append([p[2] for p in passes])
+            return real(passes, workers)
 
-        monkeypatch.setattr(simulation, "_simulate_statistics", counted)
+        monkeypatch.setattr(simulation, "_run_passes", counted)
         study = run_study(cfg)
         assert not study.failures
-        assert calls == [cfg.gammas] * 2 * 1 * (1 + 2)
+        assert calls == [[cfg.gammas] * 2 * 1 * (1 + 2)]
         cells = iter(study.results)
         for fi, family in enumerate(cfg.families):
             nulls = build_nulls(family, 10, cfg.gammas, 300, derive_seed(23, (0, fi, 0)))
@@ -301,17 +309,54 @@ class TestStudy:
                     assert next(cells) == alone
         assert next(cells, None) is None
 
-    def test_failures_collected_without_abort(self):
+    def test_one_pool_sized_to_all_chunks(self, serial_pool):
+        # 2 families x (a 2-chunk null + 2 alternatives of 2 chunks) = 12 chunks.
+        cfg = StudyConfig(
+            families=(Family.WEIBULL, Family.FRECHET),
+            alternatives=(parse_alternative("LN(1)"), parse_alternative("G(2,1)")),
+            gammas=(0.5, 5.0), sample_sizes=(10,), replicates=600,
+            crit_replicates=700, seed=29,
+        )
+        serial = run_study(cfg, workers=1)
+        assert serial_pool == []
+        assert run_study(cfg, workers=5) == serial
+        assert run_study(cfg, workers=64) == serial
+        assert serial_pool == [5, 12]
+        assert not serial.failures and len(serial.results) == 2 * 2 * 2
+
+    def test_failures_collected_without_abort(self, serial_pool):
         cfg = StudyConfig(
             families=(Family.WEIBULL,),
             alternatives=(AlternativeSpec("LN", (1e-12,)), parse_alternative("LN(1)")),
             gammas=(1.0,), sample_sizes=(5,), replicates=200,
             crit_replicates=200, seed=17,
         )
-        study = run_study(cfg)
-        assert len(study.failures) == 1
-        assert "LN(1e-12)" in study.failures[0]
-        assert len(study.results) == 1
+        for workers in (1, 4):  # here, then through a pool of the 3 chunks
+            study = run_study(cfg, workers=workers)
+            assert len(study.failures) == 1
+            assert "LN(1e-12)" in study.failures[0]
+            assert len(study.results) == 1
+        assert serial_pool == [3]
+
+    def test_failed_null_drops_only_its_cells(self, tmp_path):
+        # A null that cannot be saved fails its (family, n); the cells of the
+        # next (family, n) still pair with their own passes.
+        class WeibullSaveFails(NullCache):
+            def save(self, null):
+                if null.family is Family.WEIBULL:
+                    raise OSError("disk full")
+                return super().save(null)
+
+        cfg = StudyConfig(
+            families=(Family.WEIBULL, Family.PARETO),
+            alternatives=(parse_alternative("LN(1)"), parse_alternative("G(2,1)")),
+            gammas=(1.0,), sample_sizes=(10,), replicates=200,
+            crit_replicates=200, seed=31,
+        )
+        study = run_study(cfg, cache=WeibullSaveFails(tmp_path))
+        assert study.failures == ("null weibull n=10: disk full",)
+        assert study.results == tuple(r for r in run_study(cfg).results
+                                      if r.family is Family.PARETO)
 
 
 class TestPowerMonotonicity:
