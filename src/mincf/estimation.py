@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import ConvergenceError, DegenerateSampleError, DomainError
 from .families import Family, ParamPair
@@ -49,6 +48,13 @@ class StandardizedSample:
     @property
     def n(self) -> int:
         return self.values.size
+
+
+def _logsumexp(a, axis=None):
+    """log(sum(exp(a))) along ``axis``, shifted by the finite maximum so it cannot overflow."""
+    m = np.max(a, axis=axis, keepdims=True)
+    m = np.where(np.isfinite(m), m, 0.0)
+    return np.log(np.sum(np.exp(a - m), axis=axis)) + np.squeeze(m, axis=axis)
 
 
 def _weibull_score(phi, logs, log_mean):
@@ -131,14 +137,14 @@ def fit_batch(family: Family, x: np.ndarray):
 
     if family is Family.WEIBULL:
         phi, converged, iterations = solve_weibull_shape(logs)
-        log_c = (logsumexp(phi[:, None] * logs, axis=1) - np.log(n)) / phi
+        log_c = (_logsumexp(phi[:, None] * logs, axis=1) - np.log(n)) / phi
         return np.exp(log_c), phi, converged, iterations
 
     if family is Family.FRECHET:
         # x -> 1/x turns the Frechet likelihood into the Weibull one with
         # phi unchanged and c inverted.
         phi, converged, iterations = solve_weibull_shape(-logs)
-        log_c = -(logsumexp(-phi[:, None] * logs, axis=1) - np.log(n)) / phi
+        log_c = -(_logsumexp(-phi[:, None] * logs, axis=1) - np.log(n)) / phi
         return np.exp(log_c), phi, converged, iterations
 
     raise DomainError(f"unknown family {family!r}")
@@ -150,10 +156,10 @@ def _log_likelihood(family: Family, x: np.ndarray, c: float, phi: float) -> floa
     if family is Family.PARETO:
         return n * np.log(phi) + n * phi * np.log(c) - (phi + 1.0) * logs.sum()
     if family is Family.WEIBULL:
-        power_sum = np.exp(logsumexp(phi * (logs - np.log(c))))
+        power_sum = np.exp(_logsumexp(phi * (logs - np.log(c))))
         return n * np.log(phi) - n * phi * np.log(c) + (phi - 1.0) * logs.sum() - power_sum
     if family is Family.FRECHET:
-        power_sum = np.exp(logsumexp(-phi * (logs - np.log(c))))
+        power_sum = np.exp(_logsumexp(-phi * (logs - np.log(c))))
         return n * np.log(phi) + n * phi * np.log(c) - (phi + 1.0) * logs.sum() - power_sum
     raise DomainError(f"unknown family {family!r}")
 

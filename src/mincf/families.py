@@ -2,9 +2,13 @@
 
 The null families (Weibull, Pareto type I, Frechet) share the scale-power
 structure F(x) = F0((x/c)^phi), so each is described by its standard member
-F0 plus the (c, phi) reparameterization. The module also provides the eight
-alternative distributions used in power studies, parsed from a compact
-string grammar such as ``W(1.5,1)+1`` or ``LN(2.5)``.
+F0 plus the (c, phi) reparameterization; their functions need numpy alone.
+The module also provides the eight alternative distributions used in power
+studies, parsed from a compact string grammar such as ``W(1.5,1)+1`` or
+``LN(2.5)``. Only the alternatives reach for ``scipy.special``: the
+lognormal sampler for ``ndtri`` and the reference density and CDF for the
+gamma, normal and error functions. They import it when called, so loading
+this module (and testing data against a null family) loads no scipy.
 """
 from __future__ import annotations
 
@@ -14,7 +18,6 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _sp
 
 from .errors import ConfigError, DomainError
 from .special import exp_integral_e1
@@ -196,6 +199,10 @@ class AlternativeSpec:
             raise ConfigError(f"parameters of {self} must be positive")
         if self.shift < 0:
             raise ConfigError("shift must be nonnegative")
+        if self.name == "LN":
+            # The sampler needs scipy.special.ndtri. Loading it where the spec is made
+            # lets forked pool workers inherit it instead of each importing it (~0.4 s).
+            import scipy.special
 
     def __str__(self):
         body = ",".join(f"{p:g}" for p in self.params)
@@ -270,8 +277,10 @@ def sample_alternative(spec: AlternativeSpec, n: int, rng: np.random.Generator) 
             shape, scale = spec.params
             x = scale * (-np.log(np.maximum(u, 1e-300))) ** (-1.0 / shape)
         elif name == "LN":
+            from scipy.special import ndtri
+
             mu, sigma = spec.mu_sigma
-            x = np.exp(mu + sigma * _sp.ndtri(np.clip(u, 1e-300, 1.0 - 1e-16)))
+            x = np.exp(mu + sigma * ndtri(np.clip(u, 1e-300, 1.0 - 1e-16)))
         elif name == "LFR":
             theta = spec.params[0]
             e = -np.log1p(-u)
@@ -286,6 +295,8 @@ def sample_alternative(spec: AlternativeSpec, n: int, rng: np.random.Generator) 
 
 def alternative_density(spec: AlternativeSpec, x):
     """Density of the (shifted) alternative law; zero outside the support."""
+    from scipy.special import gammaln
+
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr) - spec.shift
@@ -310,7 +321,7 @@ def alternative_density(spec: AlternativeSpec, x):
                 shape, scale = spec.params
                 out[m] = np.exp(
                     (shape - 1.0) * np.log(v) - v / scale
-                    - shape * math.log(scale) - _sp.gammaln(shape)
+                    - shape * math.log(scale) - gammaln(shape)
                 )
             elif name == "LN":
                 mu, sigma = spec.mu_sigma
@@ -344,6 +355,8 @@ def alternative_density(spec: AlternativeSpec, x):
 
 def alternative_cdf(spec: AlternativeSpec, x):
     """Distribution function of the (shifted) alternative law."""
+    from scipy.special import erf, gammainc, ndtr
+
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr) - spec.shift
@@ -362,13 +375,13 @@ def alternative_cdf(spec: AlternativeSpec, x):
             out[m] = -np.expm1(-((v / scale) ** shape))
         elif name == "G":
             shape, scale = spec.params
-            out[m] = _sp.gammainc(shape, v / scale)
+            out[m] = gammainc(shape, v / scale)
         elif name == "LN":
             mu, sigma = spec.mu_sigma
-            out[m] = _sp.ndtr((np.log(v) - mu) / sigma)
+            out[m] = ndtr((np.log(v) - mu) / sigma)
         elif name == "HN":
             theta = spec.params[0]
-            out[m] = _sp.erf(v / (theta * math.sqrt(2.0)))
+            out[m] = erf(v / (theta * math.sqrt(2.0)))
         elif name == "LFR":
             theta = spec.params[0]
             out[m] = -np.expm1(-v - 0.5 * theta * v ** 2)

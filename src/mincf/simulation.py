@@ -37,7 +37,7 @@ from .families import (
 from .stat import batch_statistics, l_constant, lambda_table, statistic
 
 #: Bump when the statistic implementation changes; cached nulls are keyed on it.
-STATISTIC_CODE_VERSION = "5"
+STATISTIC_CODE_VERSION = "6"
 
 #: Replicates per work unit. Fixed so that the chunk layout (and therefore
 #: every floating-point reduction) is independent of the worker count.
@@ -279,13 +279,17 @@ def _join(p, parts):
     return stats, redraws
 
 
+def _check_replicates(replicates) -> None:
+    if replicates < 100:
+        raise DomainError("need at least 100 replicates")
+
+
 def _null_plan(family, n, gammas, replicates, seed, params, cache):
     """The nulls the cache holds, by gamma (None on a miss), and the pass that
     simulates the misses, or None if there are none."""
     if n < 3:
         raise DomainError("need n >= 3")
-    if replicates < 100:
-        raise DomainError("need at least 100 replicates")
+    _check_replicates(replicates)
     _count("seed", seed, 0)
     nulls = {g: cache.load(family, n, g, replicates, seed) if cache else None for g in gammas}
     missing = tuple(g for g, null in nulls.items() if null is None)
@@ -403,6 +407,7 @@ def power(
     """Empirical rejection rate against a fixed alternative."""
     if (null.family, null.n) != (family, n) or null.gamma != float(gamma):
         raise ConfigError("null distribution does not match (family, n, gamma)")
+    _check_replicates(replicates)
     _count("seed", seed, 0)
     (outcome,) = _run_passes(
         [(family, n, (null.gamma,), replicates, seed, ("alt", alt))], workers

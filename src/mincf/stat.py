@@ -20,9 +20,13 @@ serving the observed :func:`statistic` and the engine's :func:`batch_statistics`
   and an analytic tail above them. :func:`small_lambda`, one adaptive
   quadrature per point, is the reference the tests hold the table to.
 
+E1, K_nu and the incomplete gammas come from :mod:`mincf.special` in numpy,
+so the production route loads no scipy.
+
 :func:`statistic_direct` evaluates the defining integral
 n*int (psi_n - psi0)^2 e^(-gamma t) dt by quadrature and serves as the
-independent oracle for :func:`statistic`.
+independent oracle for :func:`statistic`; it and the other reference routes
+load QUADPACK and ``brentq`` on first call.
 """
 from __future__ import annotations
 
@@ -33,7 +37,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 from numpy.polynomial import polynomial as _poly
-from scipy import special as _sp
 
 from .errors import ConvergenceError, DomainError
 from .estimation import StandardizedSample
@@ -51,6 +54,8 @@ from .special import (
     QuadratureSpec,
     bessel_k,
     exp_integral_e1,
+    gammainc23,
+    gammaincc23,
     integrate,
 )
 
@@ -118,11 +123,9 @@ def kernel_lambda(gamma, z1, z2):
     b = 1.0 / np.minimum(z1, z2)
     ga = g * a
     gb = g * b
-    out = (
-        2.0 * _sp.gammainc(3.0, ga) / (g ** 3 * a * b)
-        + (_sp.gammainc(2.0, gb) - _sp.gammainc(2.0, ga)) / (g * g * b)
-        + np.exp(-gb) / g
-    )
+    p2a, p3a = gammainc23(ga)
+    p2b, _ = gammainc23(gb)
+    out = 2.0 * p3a / (g ** 3 * a * b) + (p2b - p2a) / (g * g * b) + np.exp(-gb) / g
     return float(out) if scalar else out
 
 
@@ -130,9 +133,10 @@ def _kernel_sum(g: float, y: np.ndarray) -> np.ndarray:
     """sum_jk K(y_j, y_k) over the last axis of y in O(n log n) (Huo & Szekely 2016).
 
     For s <= l, K(s, l) = s F(l) + G(s) exactly, F(l) = 2l P(3, g/l)/g^3 - P(2, g/l)/g^2,
-    G(s) = s P(2, g/s)/g^2 + e^(-g/s)/g. On sorted values, with S_j the sum of the j
-    smaller ones, the sum is sum_j F(y_j)(2 S_j + y_j) + G(y_j)(2(n-1-j) + 1).
-    :func:`kernel_lambda`, the pairwise form, is kept as the test oracle.
+    G(s) = s P(2, g/s)/g^2 + e^(-g/s)/g = s (1 - e^(-g/s))/g^2. On sorted values, with
+    S_j the sum of the j smaller ones, the sum is
+    sum_j F(y_j)(2 S_j + y_j) + G(y_j)(2(n-1-j) + 1). :func:`kernel_lambda`, the
+    pairwise form, is kept as the test oracle.
 
     The split cancels where both values of a pair are << g (K ~ 2ls/g^3, each
     part ~ s/g^2). MLE-standardized rows have max(Y) >= 1 (Weibull: mean Y = 1;
@@ -141,8 +145,9 @@ def _kernel_sum(g: float, y: np.ndarray) -> np.ndarray:
     """
     y = np.sort(y, axis=-1)
     u = g / y
-    f = (2.0 * y * _sp.gammainc(3.0, u) / g - _sp.gammainc(2.0, u)) / g ** 2
-    small = (y * _sp.gammainc(2.0, u) / g + np.exp(-u)) / g
+    p2, p3 = gammainc23(u)
+    f = (2.0 * y * p3 / g - p2) / g ** 2
+    small = -y * np.expm1(-u) / g ** 2
     weight = np.arange(2 * y.shape[-1] - 1, 0, -2)  # 2(n-1-j) + 1
     return (f * (2.0 * np.cumsum(y, axis=-1) - y) + small * weight).sum(axis=-1)
 
@@ -203,6 +208,7 @@ def l_constant(family: Family, gamma: float) -> float:
 
 #: Terms of the power series used where a closed form cancels (g*a <= 2).
 _SERIES_TERMS = 30
+_FACTORIALS = np.array([float(math.factorial(k)) for k in range(_SERIES_TERMS)])
 
 def small_lambda(family: Family, gamma: float, z: float) -> float:
     """lam(z) = int_0^inf min(1, t z) psi0(t) e^(-gamma t) dt at one point.
@@ -259,11 +265,12 @@ def _frechet_lambda(g, z):
         e1a = exp_integral_e1(a_b)
         e1b = exp_integral_e1((1.0 + g) * a_b)
         q = np.exp(-(1.0 + g) * a_b)
+        q2, q3 = gammaincc23(g * a_b)
+        p2, _ = gammainc23((1.0 + g) * a_b)
         i2 = 2.0 * (
-            math.log1p(g) - _sp.gammaincc(3.0, g * a_b) * e1a + e1b
-            - r * (1.0 - q) - 0.5 * r * r * _sp.gammainc(2.0, (1.0 + g) * a_b)
+            math.log1p(g) - q3 * e1a + e1b - r * (1.0 - q) - 0.5 * r * r * p2
         ) / g ** 3
-        tail1 = (_sp.gammaincc(2.0, g * a_b) * e1a - e1b - r * q) / g ** 2
+        tail1 = (q2 * e1a - e1b - r * q) / g ** 2
         out[big] += z[big] * i2 + tail1
     return out
 
@@ -274,8 +281,8 @@ def _frechet_moment_series(g, a, k):
     # Taylor coefficients of Ein(t) - EULER_GAMMA, Ein(t) = sum (-1)^(j+1) t^j/(j j!).
     ein = np.empty(_SERIES_TERMS)
     ein[0] = -EULER_GAMMA
-    ein[1:] = (-1.0) ** (j[1:] + 1) / (j[1:] * _sp.factorial(j[1:]))
-    prod = np.convolve(ein, (-g) ** j / _sp.factorial(j))[:_SERIES_TERMS]
+    ein[1:] = (-1.0) ** (j[1:] + 1) / (j[1:] * _FACTORIALS[1:])
+    prod = np.convolve(ein, (-g) ** j / _FACTORIALS)[:_SERIES_TERMS]
     power_part = a ** (k + 1.0) * _poly.polyval(a, prod / (k + 1.0 + j))
     return power_part - _poly_log_moment(g, a, k)
 
@@ -427,15 +434,16 @@ class LambdaTable:
         if np.any(hi):
             # psi0(t) = t up to O(e^(-1/t)), negligible beyond z_hi.
             g = self.gamma
-            ga = g / z[hi]
-            corr = _sp.gammainc(2.0, ga) / g ** 2 - 2.0 * z[hi] * _sp.gammainc(3.0, ga) / g ** 3
+            p2, p3 = gammainc23(g / z[hi])
+            corr = p2 / g ** 2 - 2.0 * z[hi] * p3 / g ** 3
             out[hi] = self.lam_inf - corr
         if np.any(mid):
             u = np.log(z[mid])
             idx = np.clip(np.searchsorted(self.edges, u, side="right") - 1, 0,
                           len(self.coeffs) - 1)
             vals = np.empty_like(u)
-            for k in np.unique(idx):
+            # The panels in use, in order; np.unique would import numpy.ma (~10 ms) on first use.
+            for k in np.flatnonzero(np.bincount(idx)):
                 sel = idx == k
                 u0, u1 = self.edges[k], self.edges[k + 1]
                 x = (2.0 * u[sel] - (u0 + u1)) / (u1 - u0)

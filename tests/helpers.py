@@ -6,10 +6,27 @@ also wraps scipy.integrate.quad, so these oracles are independent of its
 production routes only: closed forms plus a fixed Gauss-Legendre rule, which
 share no code with QUADPACK.
 """
+import os
+import subprocess
+import sys
+
 import numpy as np
 from scipy import integrate as _si
 
+import mincf
 from mincf.families import Family, null_min_cf
+
+
+def run_python(script: str) -> str:
+    """Run ``script`` in a fresh interpreter that imports this checkout's mincf;
+    return the last line it printed."""
+    src = os.path.dirname(os.path.dirname(mincf.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    return out.strip().splitlines()[-1]
 
 
 def midpoint_oracle(f, a, b, points=10_000_000, chunks=20):

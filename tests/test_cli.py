@@ -1,13 +1,13 @@
 import json
 import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
 from mincf.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, main, read_data_file
 from mincf.errors import ConfigError
+
+from helpers import run_python
 
 
 @pytest.fixture
@@ -294,11 +294,6 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     # scipy.integrate would load it too. statistic() must need neither. As
     # special.integrate imports scipy.integrate on its first call, this also
     # shows that no production path (L, the lam tables, statistic()) calls it.
-    import mincf
-
-    src = os.path.dirname(os.path.dirname(mincf.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     script = (
         "import sys, numpy as np, mincf.cli\n"
         "from mincf import Family, ParamPair, mle, sample_null, standardize, statistic\n"
@@ -307,7 +302,42 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
         "    statistic(family, standardize(x, mle(family, x)), 1.0)\n"
         "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))\n"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True,
-    ).stdout
-    assert out.strip() == "[]"
+    assert run_python(script) == "[]"
+
+
+# Importing scipy.special costs about 0.4 s, as much as the rest of a warm
+# `mincf test`; the test and critvals paths run on numpy alone.
+_SCIPY_LOADED = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+
+
+def test_cli_import_loads_no_scipy():
+    assert run_python("import sys, mincf.cli\n" + _SCIPY_LOADED) == "[]"
+
+
+def test_cold_and_warm_test_commands_load_no_scipy(tmp_path):
+    data = tmp_path / "data.txt"
+    np.savetxt(data, np.random.default_rng(8).weibull(1.5, size=30))
+    script = (
+        "import sys\n"
+        "from mincf.cli import main\n"
+        "for family in ('weibull', 'pareto', 'frechet'):\n"
+        "    for _ in range(2):  # cold, then warm from the cache\n"
+        f"        assert main(['test', '--family', family, '--data', {str(data)!r},\n"
+        "                     '--replicates', '200', '--seed', '3', '--workers', '1',\n"
+        f"                     '--cache-dir', {str(tmp_path / 'cache')!r}]) == 0\n"
+        + _SCIPY_LOADED
+    )
+    assert run_python(script) == "[]"
+    assert len(os.listdir(tmp_path / "cache")) == 3 * 3  # one null per (family, gamma)
+
+
+def test_critvals_command_loads_no_scipy():
+    script = (
+        "import sys\n"
+        "from mincf.cli import main\n"
+        "for family in ('weibull', 'pareto', 'frechet'):\n"
+        "    assert main(['critvals', '--family', family, '--n', '10,30', '--replicates', '200',\n"
+        "                 '--workers', '1', '--no-cache']) == 0\n"
+        + _SCIPY_LOADED
+    )
+    assert run_python(script) == "[]"

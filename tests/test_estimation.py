@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mincf.errors import DegenerateSampleError, DomainError
-from mincf.estimation import fit_batch, mle, standardize
+from mincf.estimation import _logsumexp, fit_batch, mle, standardize
 from mincf.families import Family, ParamPair, sample_null
 
 ALL_FAMILIES = list(Family)
@@ -176,3 +176,11 @@ class TestBatch:
         est = mle(Family.FRECHET, x)
         ref = log_likelihood(Family.FRECHET, x, est.params.c, est.params.phi)
         assert abs(est.log_likelihood - ref) < 1e-8 * abs(ref)
+
+
+def test_logsumexp_matches_direct_sum_and_cannot_overflow():
+    a = np.random.default_rng(5).normal(scale=3.0, size=(4, 50))
+    direct = [math.log(math.fsum(math.exp(v) for v in row)) for row in a]
+    assert np.allclose(_logsumexp(a, axis=1), direct, rtol=1e-14, atol=0.0)
+    assert _logsumexp(np.array([1000.0, 1000.0])) == 1000.0 + math.log(2.0)
+    assert _logsumexp(np.array([-np.inf, 0.0])) == 0.0

@@ -24,6 +24,8 @@ from mincf.simulation import (
     gof_test,
 )
 
+from helpers import run_python
+
 
 def toy_null(stats, family=Family.WEIBULL, n=20, gamma=1.0, seed=0):
     arr = np.sort(np.asarray(stats, dtype=float))
@@ -221,6 +223,14 @@ class TestPower:
         assert abs(res.rate - 0.05) < 0.02
         assert res.rejections == int(round(res.rate * res.replicates))
 
+    @pytest.mark.parametrize("replicates", [0, 1, 99])
+    def test_too_few_replicates_rejected(self, replicates):
+        # The same check, error and message as build_nulls.
+        null = build_null(Family.WEIBULL, 10, 1.0, 200, seed=3)
+        with pytest.raises(DomainError, match="at least 100 replicates"):
+            power(Family.WEIBULL, parse_alternative("LN(1)"), 10, 1.0, 0.05,
+                  replicates, null, seed=4)
+
     def test_engine_error_on_unfittable_alternative(self):
         # A law this degenerate drives the fitted shape out of range on
         # every replicate, which must surface as an engine failure.
@@ -357,6 +367,27 @@ class TestStudy:
         assert study.failures == ("null weibull n=10: disk full",)
         assert study.results == tuple(r for r in run_study(cfg).results
                                       if r.family is Family.PARETO)
+
+    def test_lognormal_pass_loads_scipy_special_before_the_pool(self):
+        # The LN sampler needs scipy.special. The parent must hold it when the
+        # pool forks, or every worker imports it anew (about 0.4 s each).
+        script = (
+            "import sys\n"
+            "from mincf import StudyConfig, run_study, simulation\n"
+            "assert 'scipy.special' not in sys.modules\n"
+            "seen = []\n"
+            "class Pool(simulation.ProcessPoolExecutor):\n"
+            "    def __init__(self, *args, **kwargs):\n"
+            "        seen.append('scipy.special' in sys.modules)\n"
+            "        super().__init__(*args, **kwargs)\n"
+            "simulation.ProcessPoolExecutor = Pool\n"
+            "config = StudyConfig.from_dict({'families': ['weibull'], 'alternatives': ['LN(1)'],\n"
+            "    'gammas': [1.0], 'sample_sizes': [10], 'replicates': 200,\n"
+            "    'crit_replicates': 200, 'seed': 5})\n"
+            "study = run_study(config, workers=2)\n"
+            "print(len(study.results), seen, 'scipy.special' in sys.modules)\n"
+        )
+        assert run_python(script) == "1 [True] True"
 
 
 class TestPowerMonotonicity:

@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -6,12 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mincf import special
 from mincf.errors import DomainError, IntegrationError
 from mincf.special import (
     EULER_GAMMA,
     QuadratureSpec,
     bessel_k,
     exp_integral_e1,
+    gammainc23,
+    gammaincc23,
     integrate,
 )
 
@@ -140,6 +146,22 @@ class TestBesselK:
     def test_purity(self):
         assert bessel_k(2.0, 1.5) == bessel_k(2.0, 1.5)
 
+    @pytest.mark.parametrize("order", [2.0, 3.0])
+    def test_against_mpmath(self, order):
+        # The orders and range the Weibull L, lam_inf and slope reach (z = sqrt(8 g)
+        # is 90 at g ~ 1000), then up to the underflow guard, where the step shrinks.
+        for z in [*np.geomspace(1e-3, 90.0, 60), *np.geomspace(90.0, 700.0, 8)]:
+            ref = float(mp.besselk(order, z))
+            assert abs(bessel_k(order, z) - ref) <= 2e-15 * ref, z
+
+    def test_overflow_guard_and_nan(self):
+        with pytest.raises(OverflowError):
+            bessel_k(300.0, 1e-3)  # 300 log(2000) > 690
+        with pytest.raises(DomainError):
+            bessel_k(2.0, float("nan"))
+        with pytest.raises(DomainError):
+            bessel_k(float("nan"), 1.0)
+
 
 class TestExpIntegral:
     def test_at_one_vs_quadrature(self):
@@ -174,6 +196,27 @@ class TestExpIntegral:
         with pytest.raises(DomainError):
             exp_integral_e1(np.array([1.0, -2.0]))
 
+    def test_against_mpmath_grid(self):
+        # Every branch: the series to 1, the Chebyshev table on (1, 4] and the
+        # continued fraction above, with the floats either side of each branch point.
+        mp.mp.dps = 30
+        edges = [np.nextafter(b, d) for b in (1.0, 4.0) for d in (0.0, 5.0)]
+        z = np.concatenate((np.geomspace(1e-10, 700.0, 400), [1.0, 4.0], edges))
+        ref = np.array([float(mp.e1(v)) for v in z])
+        assert np.max(np.abs(exp_integral_e1(z) / ref - 1.0)) <= 5e-15
+
+    def test_zero_from_740(self):
+        assert np.all(exp_integral_e1(np.array([740.0, 745.0, 1e4, np.inf])) == 0.0)
+        assert exp_integral_e1(740.0) == 0.0
+
+    def test_chebyshev_table_reproduces(self):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "e1_chebyshev.py"
+        out = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                             check=True).stdout
+        table = {}
+        exec(out, table)
+        assert table["_E1_CHEB"] == special._E1_CHEB
+
     def test_vectorized_matches_scalar(self):
         z = np.array([1e-10, 0.3, 1.0, 7.0, 300.0])
         vec = exp_integral_e1(z)
@@ -185,3 +228,29 @@ class TestExpIntegral:
     def test_against_mpmath(self, z):
         ref = float(mp.e1(z))
         assert abs(exp_integral_e1(z) - ref) <= 1e-12 * ref + 1e-300
+
+
+class TestIncompleteGammas:
+    """Regularized P and Q at orders 2 and 3, on both sides of the series switch at 1."""
+
+    X = np.concatenate((np.geomspace(1e-8, 60.0, 300),
+                        [np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)]))
+
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_against_mpmath(self, order):
+        mp.mp.dps = 30
+        p_ref = np.array([float(mp.gammainc(order, 0, v, regularized=True)) for v in self.X])
+        q_ref = np.array([float(mp.gammainc(order, v, mp.inf, regularized=True))
+                          for v in self.X])
+        p = gammainc23(self.X)[order - 2]
+        q = gammaincc23(self.X)[order - 2]
+        assert np.max(np.abs(p / p_ref - 1.0)) <= 5e-15
+        assert np.max(np.abs(q / q_ref - 1.0)) <= 5e-15
+
+    def test_limits_and_shape(self):
+        p2, p3 = gammainc23(np.array([[0.0, np.inf]]))
+        q2, q3 = gammaincc23(np.array([[0.0, np.inf]]))
+        assert p2.shape == (1, 2)
+        assert p2.tolist() == p3.tolist() == [[0.0, 1.0]]
+        assert q2.tolist() == q3.tolist() == [[1.0, 0.0]]
+        assert gammainc23(0.5)[0].shape == ()
