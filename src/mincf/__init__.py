@@ -19,11 +19,7 @@ from .families import (
     Family,
     ParamPair,
     STANDARD_PARAMS,
-    alternative_cdf,
-    alternative_density,
     alternative_support,
-    null_cdf,
-    null_density,
     null_min_cf,
     null_quantile,
     parse_alternative,
@@ -31,27 +27,8 @@ from .families import (
     sample_null,
 )
 from .estimation import Estimate, StandardizedSample, mle, standardize
-from .special import (
-    EULER_GAMMA,
-    QuadratureSpec,
-    QuadratureResult,
-    bessel_k,
-    exp_integral_e1,
-    integrate,
-)
-from .stat import (
-    StatisticBreakdown,
-    empirical_min_cf,
-    kernel_lambda,
-    l_constant,
-    lambda_table,
-    mle_limit,
-    population_delta,
-    population_min_cf,
-    small_lambda,
-    statistic,
-    statistic_direct,
-)
+from .special import EULER_GAMMA, bessel_k, exp_integral_e1
+from .stat import StatisticBreakdown, l_constant, lambda_table, statistic
 from .simulation import (
     STATISTIC_CODE_VERSION,
     NullCache,
@@ -71,3 +48,20 @@ from .simulation import (
 )
 
 __version__ = "0.1.0"
+
+# The reference routes load scipy.integrate and scipy.optimize, so the package
+# root resolves their names on first use (PEP 562).
+_REFERENCE = frozenset({
+    "QuadratureResult", "QuadratureSpec", "alternative_cdf", "alternative_density",
+    "empirical_min_cf", "integrate", "kernel_lambda", "mle_limit", "null_cdf",
+    "null_density", "population_delta", "population_min_cf", "small_lambda",
+    "statistic_direct",
+})
+
+
+def __getattr__(name):
+    if name in _REFERENCE:
+        from . import reference
+
+        return getattr(reference, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -88,7 +88,10 @@ def _float_list(text: str) -> list[float]:
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(round(v)) for v in _float_list(text)]
+    out = _float_list(text)
+    if not all(v.is_integer() for v in out):  # also False for inf and nan
+        raise ConfigError(f"{text!r} is not a comma-separated list of integers")
+    return [int(v) for v in out]
 
 
 def _resolve_cache(args) -> NullCache | None:
@@ -199,7 +202,7 @@ def _cmd_power_study(args) -> int:
     config = StudyConfig.from_dict(raw)
     cache = _resolve_cache(args)
 
-    started = time.time()
+    started = time.perf_counter()
     done = [0]
     total = (len(config.families) * len(config.sample_sizes)
              * len(config.gammas) * len(config.alternatives))
@@ -213,7 +216,7 @@ def _cmd_power_study(args) -> int:
         )
 
     study = run_study(config, workers=args.workers, cache=cache, progress=progress)
-    elapsed = time.time() - started
+    elapsed = time.perf_counter() - started
 
     csv_path = args.out_csv or (os.path.splitext(args.config)[0] + "_results.csv")
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:

@@ -5,10 +5,11 @@ structure F(x) = F0((x/c)^phi), so each is described by its standard member
 F0 plus the (c, phi) reparameterization; their functions need numpy alone.
 The module also provides the eight alternative distributions used in power
 studies, parsed from a compact string grammar such as ``W(1.5,1)+1`` or
-``LN(2.5)``. Only the alternatives reach for ``scipy.special``: the
-lognormal sampler for ``ndtri`` and the reference density and CDF for the
-gamma, normal and error functions. They import it when called, so loading
-this module (and testing data against a null family) loads no scipy.
+``LN(2.5)``. Only the lognormal sampler reaches for ``scipy.special``
+(``ndtri``); an LN spec imports it when it is made, so loading this module
+(and testing data against a null family) loads no scipy. The densities and
+distribution functions serve only the tests and live in
+:mod:`mincf.reference`.
 """
 from __future__ import annotations
 
@@ -79,55 +80,6 @@ def null_min_cf(family: Family, t):
     else:
         raise DomainError(f"unknown family {family!r}")
     return float(out[0]) if scalar else out.reshape(np.shape(t))
-
-
-def null_density(family: Family, params: ParamPair, x):
-    """Density (phi/c)(x/c)^(phi-1) f0((x/c)^phi); zero outside the support."""
-    c, phi = params.c, params.phi
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    out = np.zeros_like(arr)
-
-    # Densities are assembled as exp(log density) so that extreme abscissae
-    # underflow to zero instead of tripping inf*0.
-    with np.errstate(over="ignore"):
-        if family is Family.WEIBULL:
-            m = arr > 0
-            lr = np.log(arr[m] / c)
-            out[m] = np.exp(np.log(phi / c) + (phi - 1.0) * lr - np.exp(phi * lr))
-        elif family is Family.PARETO:
-            m = arr > c
-            out[m] = np.exp(np.log(phi / c) - (phi + 1.0) * np.log(arr[m] / c))
-        elif family is Family.FRECHET:
-            m = arr > 0
-            lr = np.log(arr[m] / c)
-            out[m] = np.exp(np.log(phi / c) - (1.0 + phi) * lr - np.exp(-phi * lr))
-        else:
-            raise DomainError(f"unknown family {family!r}")
-    return float(out[0]) if scalar else out.reshape(np.shape(x))
-
-
-def null_cdf(family: Family, params: ParamPair, x):
-    """Distribution function F0((x/c)^phi); zero at or below the support edge."""
-    c, phi = params.c, params.phi
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    out = np.zeros_like(arr)
-
-    if family is Family.WEIBULL:
-        m = arr > 0
-        out[m] = -np.expm1(-((arr[m] / c) ** phi))
-    elif family is Family.PARETO:
-        m = arr > c
-        out[m] = -np.expm1(phi * np.log(c / arr[m]))
-    elif family is Family.FRECHET:
-        m = arr > 0
-        out[m] = np.exp(-((arr[m] / c) ** -phi))
-    else:
-        raise DomainError(f"unknown family {family!r}")
-    return float(out[0]) if scalar else out.reshape(np.shape(x))
 
 
 def null_quantile(family: Family, params: ParamPair, u):
@@ -291,106 +243,3 @@ def sample_alternative(spec: AlternativeSpec, n: int, rng: np.random.Generator) 
         else:  # pragma: no cover
             raise ConfigError(f"unknown alternative {name!r}")
     return x + spec.shift
-
-
-def alternative_density(spec: AlternativeSpec, x):
-    """Density of the (shifted) alternative law; zero outside the support."""
-    from scipy.special import gammaln
-
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr) - spec.shift
-    out = np.zeros_like(arr)
-    name = spec.name
-
-    # exp(log density) form: extreme abscissae underflow to zero rather than
-    # hitting inf*0.
-    with np.errstate(over="ignore", invalid="ignore"):
-        if name == "P":
-            shape, scale = spec.params
-            m = arr > scale
-            out[m] = np.exp(np.log(shape / scale) - (shape + 1.0) * np.log(arr[m] / scale))
-        else:
-            m = arr > 0
-            v = arr[m]
-            if name == "W":
-                shape, scale = spec.params
-                lr = np.log(v / scale)
-                out[m] = np.exp(np.log(shape / scale) + (shape - 1.0) * lr - np.exp(shape * lr))
-            elif name == "G":
-                shape, scale = spec.params
-                out[m] = np.exp(
-                    (shape - 1.0) * np.log(v) - v / scale
-                    - shape * math.log(scale) - gammaln(shape)
-                )
-            elif name == "LN":
-                mu, sigma = spec.mu_sigma
-                out[m] = np.exp(
-                    -((np.log(v) - mu) ** 2) / (2.0 * sigma ** 2) - np.log(v)
-                    - math.log(sigma * math.sqrt(2.0 * math.pi))
-                )
-            elif name == "HN":
-                theta = spec.params[0]
-                out[m] = np.exp(
-                    math.log(math.sqrt(2.0 / math.pi) / theta) - v * v / (2.0 * theta ** 2)
-                )
-            elif name == "LFR":
-                theta = spec.params[0]
-                out[m] = np.exp(np.log1p(theta * v) - v - 0.5 * theta * v * v)
-            elif name == "CH":
-                theta = spec.params[0]
-                w = v ** theta
-                expo = np.where(w < 700.0, w - 2.0 * np.expm1(np.minimum(w, 700.0)), -np.inf)
-                out[m] = np.exp(np.log(2.0 * theta) + (theta - 1.0) * np.log(v) + expo)
-            elif name == "F":
-                shape, scale = spec.params
-                lr = np.log(v / scale)
-                out[m] = np.exp(
-                    np.log(shape / scale) - (1.0 + shape) * lr - np.exp(-shape * lr)
-                )
-            else:  # pragma: no cover
-                raise ConfigError(f"unknown alternative {name!r}")
-    return float(out[0]) if scalar else out.reshape(np.shape(x))
-
-
-def alternative_cdf(spec: AlternativeSpec, x):
-    """Distribution function of the (shifted) alternative law."""
-    from scipy.special import erf, gammainc, ndtr
-
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr) - spec.shift
-    out = np.zeros_like(arr)
-    name = spec.name
-
-    if name == "P":
-        shape, scale = spec.params
-        m = arr > scale
-        out[m] = -np.expm1(shape * np.log(scale / arr[m]))
-    else:
-        m = arr > 0
-        v = arr[m]
-        if name == "W":
-            shape, scale = spec.params
-            out[m] = -np.expm1(-((v / scale) ** shape))
-        elif name == "G":
-            shape, scale = spec.params
-            out[m] = gammainc(shape, v / scale)
-        elif name == "LN":
-            mu, sigma = spec.mu_sigma
-            out[m] = ndtr((np.log(v) - mu) / sigma)
-        elif name == "HN":
-            theta = spec.params[0]
-            out[m] = erf(v / (theta * math.sqrt(2.0)))
-        elif name == "LFR":
-            theta = spec.params[0]
-            out[m] = -np.expm1(-v - 0.5 * theta * v ** 2)
-        elif name == "CH":
-            theta = spec.params[0]
-            out[m] = -np.expm1(-2.0 * np.expm1(v ** theta))
-        elif name == "F":
-            shape, scale = spec.params
-            out[m] = np.exp(-((v / scale) ** -shape))
-        else:  # pragma: no cover
-            raise ConfigError(f"unknown alternative {name!r}")
-    return float(out[0]) if scalar else out.reshape(np.shape(x))

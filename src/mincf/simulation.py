@@ -17,7 +17,6 @@ import numbers
 import os
 import uuid
 import zipfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -252,6 +251,8 @@ def _run_passes(passes, workers):
 
 def _pooled(passes, chunks, size):
     """The pool branch of :func:`_run_passes`."""
+    from concurrent.futures import ProcessPoolExecutor  # ~20 ms of import most CLI runs skip
+
     pool = ProcessPoolExecutor(max_workers=size)
     try:
         futures = [[pool.submit(_simulate_chunk, *c) for c in cs] for cs in chunks]

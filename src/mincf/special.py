@@ -1,4 +1,4 @@
-"""Special functions and the reference quadrature.
+"""Special functions of the statistic's closed forms.
 
 The closed forms of the statistic need the modified Bessel function K_nu, the
 exponential integral E1 and the regularized incomplete gammas at orders 2
@@ -6,104 +6,20 @@ and 3. Each has a short numpy form here, within 5e-15 relative of mpmath
 over the arguments the statistic produces, so the production route imports
 no scipy: K_nu by the trapezoid rule on its integral over cosh, E1 by
 series, Chebyshev table and continued fraction, and the incomplete gammas by
-their finite sums. :func:`integrate` wraps QUADPACK (``scipy.integrate.quad``,
-imported on first call) for bounded and semi-infinite intervals behind the
-package's tolerance spec and errors; only the reference routes the tests
-compare against call it.
+their finite sums.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 from numpy.polynomial import polynomial as _poly
 
-from .errors import DomainError, IntegrationError
+from .errors import DomainError
 
 #: Euler-Mascheroni constant to full double precision.
 EULER_GAMMA = 0.5772156649015329
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerance and budget settings for :func:`integrate`."""
-
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-14
-    max_subdivisions: int = 2000
-
-    def __post_init__(self):
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise DomainError("quadrature tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise DomainError("max_subdivisions must be at least 1")
-
-
-DEFAULT_QUADRATURE = QuadratureSpec()
-
-
-@dataclass(frozen=True)
-class QuadratureResult:
-    value: float
-    error: float
-    subdivisions: int
-
-
-def integrate(
-    f: Callable,
-    a: float,
-    b: float,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> QuadratureResult:
-    """Integrate ``f`` over ``[a, b]`` with ``b`` possibly ``inf`` (``scipy.integrate.quad``).
-
-    ``f`` takes a numpy array of abscissae; QUADPACK calls it on 1-element
-    arrays and never at the endpoints. Finite intervals reaching more than a
-    decade past max(a, 1) are split at the powers of ten inside them, so
-    localized mass cannot slip between the nodes of one wide panel. No
-    production route calls this: it serves the reference routes the tests
-    compare against.
-
-    Raises :class:`IntegrationError` carrying the best estimate when the
-    subdivision budget is exhausted before the tolerance is met.
-    """
-    if not (np.isfinite(a) and a >= 0):
-        raise DomainError("lower limit must be finite and nonnegative")
-    if b <= a:
-        raise DomainError("upper limit must exceed lower limit")
-    # scipy.integrate loads scipy.optimize (about 0.3 s), so it waits for the first call.
-    from scipy.integrate import quad
-
-    def scalar(t):
-        v = float(np.ravel(f(np.array([t])))[0])
-        if not math.isfinite(v):
-            raise DomainError(f"integrand returned a non-finite value at {t!r}")
-        return v
-
-    points = None
-    if np.isfinite(b) and b > 10.0 * max(a, 1.0):
-        points = 10.0 ** np.arange(math.ceil(math.log10(max(a, 1.0))), math.ceil(math.log10(b)))
-        points = points[points > a]
-    value, error, info, *warning = quad(
-        scalar, a, b, epsabs=spec.abs_tol, epsrel=spec.rel_tol, limit=spec.max_subdivisions,
-        points=points, full_output=1,
-    )
-    if warning and "maximum number of subdivisions" in warning[0]:
-        raise IntegrationError(
-            f"quadrature did not converge within {info['last']} subdivisions "
-            f"(estimate {value!r}, error {error:.3e})",
-            estimate=value,
-            error=error,
-        )
-    return QuadratureResult(value=value, error=error, subdivisions=int(info["last"]))
-
-
-# ---------------------------------------------------------------------------
-# Special functions (numpy and math, behind the package's argument checks).
-# ---------------------------------------------------------------------------
 
 #: 1/k! for k = 3..20: x^3 e^(-x) times this series is P(3, x) to double precision for x < 1.
 _P3_SERIES = np.array([1.0 / math.factorial(k) for k in range(3, 21)])

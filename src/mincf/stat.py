@@ -17,16 +17,11 @@ serving the observed :func:`statistic` and the engine's :func:`batch_statistics`
 * Weibull - int t^2 e^(-1/t - gamma t) dt has no elementary form, so
   piecewise-Chebyshev panels are fitted once per gamma to a composite
   Gauss-Legendre rule, with the exact linear asymptote below the panels
-  and an analytic tail above them. :func:`small_lambda`, one adaptive
-  quadrature per point, is the reference the tests hold the table to.
+  and an analytic tail above them.
 
 E1, K_nu and the incomplete gammas come from :mod:`mincf.special` in numpy,
-so the production route loads no scipy.
-
-:func:`statistic_direct` evaluates the defining integral
-n*int (psi_n - psi0)^2 e^(-gamma t) dt by quadrature and serves as the
-independent oracle for :func:`statistic`; it and the other reference routes
-load QUADPACK and ``brentq`` on first call.
+so the production route loads no scipy. The quadrature oracles the tests
+hold these terms to live in :mod:`mincf.reference`.
 """
 from __future__ import annotations
 
@@ -38,26 +33,10 @@ import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 from numpy.polynomial import polynomial as _poly
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 from .estimation import StandardizedSample
-from .families import (
-    AlternativeSpec,
-    Family,
-    ParamPair,
-    alternative_cdf,
-    alternative_density,
-    alternative_support,
-    null_min_cf,
-)
-from .special import (
-    EULER_GAMMA,
-    QuadratureSpec,
-    bessel_k,
-    exp_integral_e1,
-    gammainc23,
-    gammaincc23,
-    integrate,
-)
+from .families import Family, null_min_cf
+from .special import EULER_GAMMA, bessel_k, exp_integral_e1, gammainc23, gammaincc23
 
 
 @functools.cache
@@ -105,38 +84,14 @@ class StatisticBreakdown:
 # Pairwise kernel.
 # ---------------------------------------------------------------------------
 
-def kernel_lambda(gamma, z1, z2):
-    """K(z1, z2) = int_0^inf min(1, t z1) min(1, t z2) e^(-gamma t) dt.
-
-    Closed form, symmetric in (z1, z2); the piecewise integration is written
-    through regularized incomplete gammas so it stays accurate for arguments
-    of any magnitude. Accepts scalars or broadcastable arrays.
-    """
-    g = _check_gamma(gamma)
-    z1 = np.asarray(z1, dtype=float)
-    z2 = np.asarray(z2, dtype=float)
-    if not (np.all(z1 > 0) and np.all(z2 > 0)):
-        raise DomainError("kernel arguments must be positive")
-    scalar = z1.ndim == 0 and z2.ndim == 0
-    # The closed form assumes z1 <= z2; swapping is exact.
-    a = 1.0 / np.maximum(z1, z2)
-    b = 1.0 / np.minimum(z1, z2)
-    ga = g * a
-    gb = g * b
-    p2a, p3a = gammainc23(ga)
-    p2b, _ = gammainc23(gb)
-    out = 2.0 * p3a / (g ** 3 * a * b) + (p2b - p2a) / (g * g * b) + np.exp(-gb) / g
-    return float(out) if scalar else out
-
-
 def _kernel_sum(g: float, y: np.ndarray) -> np.ndarray:
     """sum_jk K(y_j, y_k) over the last axis of y in O(n log n) (Huo & Szekely 2016).
 
     For s <= l, K(s, l) = s F(l) + G(s) exactly, F(l) = 2l P(3, g/l)/g^3 - P(2, g/l)/g^2,
     G(s) = s P(2, g/s)/g^2 + e^(-g/s)/g = s (1 - e^(-g/s))/g^2. On sorted values, with
     S_j the sum of the j smaller ones, the sum is
-    sum_j F(y_j)(2 S_j + y_j) + G(y_j)(2(n-1-j) + 1). :func:`kernel_lambda`, the
-    pairwise form, is kept as the test oracle.
+    sum_j F(y_j)(2 S_j + y_j) + G(y_j)(2(n-1-j) + 1). The pairwise form,
+    :func:`mincf.reference.kernel_lambda`, is the test oracle.
 
     The split cancels where both values of a pair are << g (K ~ 2ls/g^3, each
     part ~ s/g^2). MLE-standardized rows have max(Y) >= 1 (Weibull: mean Y = 1;
@@ -209,20 +164,6 @@ def l_constant(family: Family, gamma: float) -> float:
 #: Terms of the power series used where a closed form cancels (g*a <= 2).
 _SERIES_TERMS = 30
 _FACTORIALS = np.array([float(math.factorial(k)) for k in range(_SERIES_TERMS)])
-
-def small_lambda(family: Family, gamma: float, z: float) -> float:
-    """lam(z) = int_0^inf min(1, t z) psi0(t) e^(-gamma t) dt at one point.
-
-    Pareto and Frechet evaluate their closed forms; Weibull runs one adaptive
-    quadrature, the reference for the panels of :func:`lambda_table`.
-    """
-    g = _check_gamma(gamma)
-    z = float(z)
-    if not (z > 0 and np.isfinite(z)):
-        raise DomainError(f"lambda argument must be positive, got {z!r}")
-    if family is Family.WEIBULL:
-        return _lambda_via_complement(g, z, lambda_complete(family, g))
-    return float(_lambda_closed(family, g, np.array([z]))[0])
 
 
 def _lambda_closed(family: Family, g: float, z: np.ndarray) -> np.ndarray:
@@ -382,18 +323,6 @@ def lambda_complete(family: Family, gamma: float) -> float:
 
 _CHEB_DEG = 14
 _CHEB_TEST = np.array([-0.971, -0.683, -0.317, 0.089, 0.459, 0.823, 0.987])
-_WEIBULL_QUAD = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-16, max_subdivisions=2000)
-
-
-def _lambda_via_complement(g: float, z: float, lam_inf: float) -> float:
-    """Weibull lam(z) = lam_inf - int_0^(1/z) (1 - z t) psi0(t) e^(-g t) dt.
-
-    One adaptive quadrature: the value :func:`small_lambda` returns.
-    """
-    def integrand(t):
-        return (1.0 - z * t) * null_min_cf(Family.WEIBULL, t) * np.exp(-g * t)
-
-    return lam_inf - integrate(integrand, 0.0, 1.0 / z, _WEIBULL_QUAD).value
 
 
 @dataclass(frozen=True)
@@ -476,7 +405,8 @@ def lambda_table(family: Family, gamma: float) -> LambdaTable:
     def f(u):
         # lam_inf minus int_0^(1/z) (1 - z t) psi0(t) e^(-g t) dt at every z at once, by
         # Gauss-Legendre on `pieces` cut at 1/z: within 1e-15 * max(1, lam_inf) of
-        # small_lambda for g in [0.001, 1000]. A last piece [16, 40/g] lost 5e-7 at g = 0.02.
+        # reference.small_lambda for g in [0.001, 1000]. A last piece [16, 40/g]
+        # lost 5e-7 at g = 0.02.
         z = np.exp(u)[:, None]
         return lam_inf - _gauss_legendre(
             lambda t: (1.0 - z[..., None] * t) * null_min_cf(Family.WEIBULL, t) * np.exp(-g * t),
@@ -545,166 +475,3 @@ def batch_statistics(family: Family, gamma: float, y: np.ndarray) -> np.ndarray:
     b, n = y.shape
     lam = lambda_table(family, g)(y.reshape(-1)).reshape(b, n).sum(axis=1)
     return _kernel_sum(g, y) / n + n * l_constant(family, g) - 2.0 * lam
-
-
-def empirical_min_cf(sample, t):
-    """Empirical min-characteristic function (1/n) sum_j min(1, t X_j)."""
-    x = np.asarray(sample, dtype=float).ravel()
-    if x.size < 1:
-        raise DomainError("sample must be nonempty")
-    arr = np.asarray(t, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    if not np.all(arr > 0):
-        raise DomainError("empirical_min_cf requires t > 0")
-    out = np.minimum(1.0, arr[:, None] * x[None, :]).mean(axis=1)
-    return float(out[0]) if scalar else out.reshape(np.shape(t))
-
-
-_DIRECT_QUAD = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-16, max_subdivisions=600)
-
-
-def statistic_direct(family: Family, standardized: StandardizedSample, gamma: float) -> float:
-    """n * int_0^inf (psi_n(t) - psi0(t))^2 e^(-gamma t) dt by quadrature.
-
-    Direct evaluation of the defining distance; the empirical curve has a
-    kink at each 1/Y_j, so the integration runs piecewise between kinks.
-    """
-    g = _check_gamma(gamma)
-    y = np.asarray(standardized.values, dtype=float)
-    n = y.size
-    if not np.all(y > 0):
-        raise DomainError("standardized values must be positive")
-
-    def integrand(t):
-        psi_n = np.minimum(1.0, t[:, None] * y[None, :]).mean(axis=1)
-        diff = psi_n - null_min_cf(family, t)
-        return diff * diff * np.exp(-g * t)
-
-    kinks = np.unique(1.0 / y)
-    if family is Family.PARETO:
-        kinks = np.unique(np.append(kinks, 1.0))
-    total = 0.0
-    lo = 0.0
-    for k in kinks:
-        total += integrate(integrand, lo, k, _DIRECT_QUAD).value
-        lo = k
-    total += integrate(integrand, lo, np.inf, _DIRECT_QUAD).value
-    return n * total
-
-
-# ---------------------------------------------------------------------------
-# Population-level distance under a fixed alternative.
-# ---------------------------------------------------------------------------
-
-_MOMENT_QUAD = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-13, max_subdivisions=1200)
-_DELTA_OUTER = QuadratureSpec(rel_tol=1e-7, abs_tol=1e-11, max_subdivisions=400)
-
-
-def _alt_expectation(spec: AlternativeSpec, fn) -> float:
-    """E[fn(X)] under the alternative, by quadrature from the support edge."""
-    lo = alternative_support(spec)
-
-    def integrand(u):
-        x = lo + u
-        d = alternative_density(spec, x)
-        with np.errstate(over="ignore", invalid="ignore"):
-            v = fn(x) * d
-        # fn may blow up where the density has already underflowed to zero.
-        return np.where(d > 0.0, v, 0.0)
-
-    return integrate(integrand, 0.0, np.inf, _MOMENT_QUAD).value
-
-
-def mle_limit(family: Family, alt: AlternativeSpec) -> ParamPair:
-    """Probability limit (c_X, phi_X) of the MLE under a fixed alternative.
-
-    Maximizes E[log f_(c,phi)(X)] numerically: the shape solves the
-    population version of the profile score equation, the scale follows in
-    closed form. For the Pareto family the scale limit is the essential
-    minimum of the alternative, which must be positive.
-    """
-    if family is Family.PARETO:
-        c = alternative_support(alt)
-        if c <= 0:
-            raise DomainError(
-                f"Pareto MLE limit undefined: {alt} has support reaching zero"
-            )
-        mean_log = _alt_expectation(alt, lambda x: np.log(x / c))
-        return ParamPair(c, 1.0 / mean_log)
-
-    sign = 1.0 if family is Family.WEIBULL else -1.0
-    mean_log = _alt_expectation(alt, np.log)
-
-    def score(phi):
-        m = _alt_expectation(alt, lambda x: x ** (sign * phi))
-        md = _alt_expectation(alt, lambda x: x ** (sign * phi) * np.log(x))
-        return md / m - sign / phi - mean_log
-
-    # Bracket the root on a geometric grid, skipping shapes whose moment
-    # integrals diverge for this alternative.
-    grid = np.geomspace(1e-2, 100.0, 33)
-    vals = []
-    for phi in grid:
-        try:
-            vals.append(score(phi))
-        except Exception:
-            vals.append(np.nan)
-    vals = np.asarray(vals)
-    bracket = None
-    for i in range(len(grid) - 1):
-        if np.isfinite(vals[i]) and np.isfinite(vals[i + 1]) and vals[i] * vals[i + 1] < 0:
-            bracket = (grid[i], grid[i + 1])
-            break
-    if bracket is None:
-        raise ConvergenceError(
-            f"no MLE limit found for {family.value} under {alt}"
-        )
-    from scipy.optimize import brentq  # imported here to keep it off the CLI start-up path
-
-    phi = brentq(score, *bracket, xtol=1e-12, rtol=1e-14)
-    m = _alt_expectation(alt, lambda x: x ** (sign * phi))
-    c = m ** (sign / phi)
-    return ParamPair(c, phi)
-
-
-def population_min_cf(alt: AlternativeSpec, limit_params: ParamPair, t: float) -> float:
-    """psi_X(t) = E min{1, t (X/c)^phi} under the alternative."""
-    c, phi = limit_params.c, limit_params.phi
-    t = float(t)
-    if t <= 0:
-        raise DomainError("population_min_cf requires t > 0")
-    lo = alternative_support(alt)
-    x_cap = c * t ** (-1.0 / phi)
-    if x_cap <= lo:
-        return 1.0 - float(alternative_cdf(alt, lo))
-
-    def integrand(u):
-        x = lo + u
-        d = alternative_density(alt, x)
-        with np.errstate(over="ignore", invalid="ignore"):
-            v = (x / c) ** phi * d
-        return np.where(d > 0.0, v, 0.0)
-
-    partial = integrate(integrand, 0.0, x_cap - lo, _MOMENT_QUAD).value
-    return t * partial + 1.0 - float(alternative_cdf(alt, x_cap))
-
-
-def population_delta(family: Family, alt: AlternativeSpec, gamma: float,
-                     limit_params: ParamPair) -> float:
-    """Population distance int_0^inf (psi_X(t) - psi0(t))^2 e^(-gamma t) dt.
-
-    This is the probability limit of statistic/n under the alternative; it
-    is zero exactly when the alternative belongs to the null family.
-    """
-    g = _check_gamma(gamma)
-
-    def integrand(t):
-        t = np.atleast_1d(t)
-        psi_x = np.array([population_min_cf(alt, limit_params, v) for v in t])
-        diff = psi_x - null_min_cf(family, t)
-        return diff * diff * np.exp(-g * t)
-
-    # Both min-CFs vanish at least as fast as t(1 + |log t|) near zero, so
-    # the mass below t=1e-9 is under 1e-24 and the integration starts there.
-    return integrate(integrand, 1e-9, np.inf, _DELTA_OUTER).value

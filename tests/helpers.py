@@ -1,9 +1,9 @@
 """Shared oracle utilities for the test suite.
 
 Oracles: brute-force midpoint sums, scipy.integrate.quad with explicit kink
-points, and mpmath high-precision quadrature. The package's own integrate()
-also wraps scipy.integrate.quad, so these oracles are independent of its
-production routes only: closed forms plus a fixed Gauss-Legendre rule, which
+points, and mpmath high-precision quadrature. mincf.reference.integrate also
+wraps scipy.integrate.quad, so these oracles are independent of the
+production route only: closed forms plus a fixed Gauss-Legendre rule, which
 share no code with QUADPACK.
 """
 import os

@@ -172,6 +172,13 @@ class TestCritvalsCommand:
         assert main(args + ["--out", str(out2)]) == EXIT_OK
         assert json.loads(out2.read_text())["results"] == report["results"]
 
+    @pytest.mark.parametrize("n", ["20.7", "inf", "nan", "10,nan"])
+    def test_non_integer_sizes_exit_2(self, capsys, n):
+        code = main(["critvals", "--family", "pareto", "--n", n, "--replicates", "200",
+                     "--workers", "1", "--no-cache"])
+        assert code == EXIT_INPUT
+        assert "not a comma-separated list of integers" in capsys.readouterr().err
+
 
 class TestPowerStudyCommand:
     def test_small_study_writes_csv_and_manifest(self, tmp_path, capsys):
@@ -292,8 +299,8 @@ class TestSizeAndPowerThroughCLI:
 def test_cli_import_leaves_scipy_optimize_unloaded():
     # scipy.optimize costs about 0.3 s of start-up and no command needs it;
     # scipy.integrate would load it too. statistic() must need neither. As
-    # special.integrate imports scipy.integrate on its first call, this also
-    # shows that no production path (L, the lam tables, statistic()) calls it.
+    # mincf.reference imports both, this also shows that no production path
+    # (L, the lam tables, statistic()) calls a reference route.
     script = (
         "import sys, numpy as np, mincf.cli\n"
         "from mincf import Family, ParamPair, mle, sample_null, standardize, statistic\n"
@@ -311,7 +318,14 @@ _SCIPY_LOADED = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scip
 
 
 def test_cli_import_loads_no_scipy():
-    assert run_python("import sys, mincf.cli\n" + _SCIPY_LOADED) == "[]"
+    # Nor the reference routes, nor the process pool (~20 ms of import) that a
+    # warm `mincf test` never opens.
+    script = (
+        "import sys, mincf.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+        "             or m in ('mincf.reference', 'concurrent.futures')))\n"
+    )
+    assert run_python(script) == "[]"
 
 
 def test_cold_and_warm_test_commands_load_no_scipy(tmp_path):

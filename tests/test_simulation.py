@@ -1,3 +1,4 @@
+import concurrent.futures
 import os
 from concurrent.futures import Future
 
@@ -160,7 +161,7 @@ def serial_pool(monkeypatch):
         def shutdown(self, cancel_futures=False):
             pass
 
-    monkeypatch.setattr(simulation, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     return sizes
 
 
@@ -372,15 +373,15 @@ class TestStudy:
         # The LN sampler needs scipy.special. The parent must hold it when the
         # pool forks, or every worker imports it anew (about 0.4 s each).
         script = (
-            "import sys\n"
-            "from mincf import StudyConfig, run_study, simulation\n"
+            "import concurrent.futures, sys\n"
+            "from mincf import StudyConfig, run_study\n"
             "assert 'scipy.special' not in sys.modules\n"
             "seen = []\n"
-            "class Pool(simulation.ProcessPoolExecutor):\n"
+            "class Pool(concurrent.futures.ProcessPoolExecutor):\n"
             "    def __init__(self, *args, **kwargs):\n"
             "        seen.append('scipy.special' in sys.modules)\n"
             "        super().__init__(*args, **kwargs)\n"
-            "simulation.ProcessPoolExecutor = Pool\n"
+            "concurrent.futures.ProcessPoolExecutor = Pool\n"
             "config = StudyConfig.from_dict({'families': ['weibull'], 'alternatives': ['LN(1)'],\n"
             "    'gammas': [1.0], 'sample_sizes': [10], 'replicates': 200,\n"
             "    'crit_replicates': 200, 'seed': 5})\n"

@@ -11,15 +11,8 @@ from hypothesis import strategies as st
 
 from mincf import special
 from mincf.errors import DomainError, IntegrationError
-from mincf.special import (
-    EULER_GAMMA,
-    QuadratureSpec,
-    bessel_k,
-    exp_integral_e1,
-    gammainc23,
-    gammaincc23,
-    integrate,
-)
+from mincf.reference import QuadratureSpec, integrate
+from mincf.special import EULER_GAMMA, bessel_k, exp_integral_e1, gammainc23, gammaincc23
 
 from helpers import midpoint_oracle
 

@@ -8,24 +8,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mincf import stat
+from mincf import reference
 from mincf.errors import DomainError
 from mincf.estimation import StandardizedSample, mle, standardize
 from mincf.families import Family, ParamPair, parse_alternative, sample_alternative, sample_null
-from mincf.stat import (
-    _kernel_sum,
-    batch_statistics,
+from mincf.reference import (
     empirical_min_cf,
     kernel_lambda,
-    l_constant,
-    lambda_complete,
-    lambda_table,
     mle_limit,
     population_delta,
     population_min_cf,
     small_lambda,
-    statistic,
     statistic_direct,
+)
+from mincf.stat import (
+    _kernel_sum,
+    batch_statistics,
+    l_constant,
+    lambda_complete,
+    lambda_table,
+    statistic,
 )
 
 from helpers import kernel_oracle, l_constant_oracle, lambda_oracle
@@ -307,7 +309,7 @@ class TestStatistic:
     def test_zero_distance_integrand(self):
         # If the empirical curve equals psi0 the weighted distance is zero.
         from mincf.families import null_min_cf
-        from mincf.special import integrate
+        from mincf.reference import integrate
         for family in ALL_FAMILIES:
             r = integrate(
                 lambda t: (null_min_cf(family, t) - null_min_cf(family, t)) ** 2
@@ -333,8 +335,8 @@ class TestStatistic:
         def forbidden(*args, **kwargs):
             raise AssertionError("per-value lam quadrature called")
 
-        monkeypatch.setattr(stat, "_lambda_via_complement", forbidden)
-        monkeypatch.setattr(stat, "small_lambda", forbidden)
+        monkeypatch.setattr(reference, "_lambda_via_complement", forbidden)
+        monkeypatch.setattr(reference, "small_lambda", forbidden)
         lambda_table.cache_clear()
         lambda_table(Family.WEIBULL, 1.0)
         rng = np.random.default_rng(106)
