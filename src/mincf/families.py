@@ -5,9 +5,9 @@ structure F(x) = F0((x/c)^phi), so each is described by its standard member
 F0 plus the (c, phi) reparameterization; their functions need numpy alone.
 The module also provides the eight alternative distributions used in power
 studies, parsed from a compact string grammar such as ``W(1.5,1)+1`` or
-``LN(2.5)``. Only the lognormal sampler reaches for ``scipy.special``
-(``ndtri``); an LN spec imports it when it is made, so loading this module
-(and testing data against a null family) loads no scipy. The densities and
+``LN(2.5)``. Every sampler needs numpy alone (the lognormal one takes the
+generator's normal routine), and each takes a sample size or a whole shape,
+so a batch of samples comes from one generator call. The densities and
 distribution functions serve only the tests and live in
 :mod:`mincf.reference`.
 """
@@ -102,11 +102,17 @@ def null_quantile(family: Family, params: ParamPair, u):
     return float(out[0]) if scalar else out.reshape(np.shape(u))
 
 
-def sample_null(family: Family, params: ParamPair, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n variates from the family member by inverse transform."""
-    if n < 1:
+def _check_size(size) -> None:
+    """A sample size, or every axis of a sample shape, must be at least 1."""
+    if np.any(np.asarray(size) < 1):
         raise DomainError("sample size must be at least 1")
-    return null_quantile(family, params, rng.random(n))
+
+
+def sample_null(family: Family, params: ParamPair, size, rng: np.random.Generator) -> np.ndarray:
+    """Draw variates of the given size or shape from the family member by
+    inverse transform."""
+    _check_size(size)
+    return null_quantile(family, params, rng.random(size))
 
 
 # ---------------------------------------------------------------------------
@@ -151,10 +157,6 @@ class AlternativeSpec:
             raise ConfigError(f"parameters of {self} must be positive")
         if self.shift < 0:
             raise ConfigError("shift must be nonnegative")
-        if self.name == "LN":
-            # The sampler needs scipy.special.ndtri. Loading it where the spec is made
-            # lets forked pool workers inherit it instead of each importing it (~0.4 s).
-            import scipy.special
 
     def __str__(self):
         body = ",".join(f"{p:g}" for p in self.params)
@@ -199,26 +201,30 @@ def alternative_support(spec: AlternativeSpec) -> float:
     return spec.shift
 
 
-def sample_alternative(spec: AlternativeSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n variates from the alternative law, then apply the shift.
+def sample_alternative(spec: AlternativeSpec, size, rng: np.random.Generator) -> np.ndarray:
+    """Draw variates of the given size or shape from the alternative law,
+    then apply the shift.
 
     Laws with a closed-form inverse use one uniform per variate; the gamma
-    uses the generator's native routine and the halfnormal uses Box-Muller.
+    and the lognormal (exp of mu + sigma Z) use the generator's gamma and
+    normal routines, and the halfnormal uses Box-Muller.
     """
-    if n < 1:
-        raise DomainError("sample size must be at least 1")
+    _check_size(size)
     name = spec.name
 
     if name == "G":
         shape, scale = spec.params
-        x = rng.standard_gamma(shape, n) * scale
+        x = rng.standard_gamma(shape, size) * scale
+    elif name == "LN":
+        mu, sigma = spec.mu_sigma
+        x = np.exp(mu + sigma * rng.standard_normal(size))
     elif name == "HN":
         theta = spec.params[0]
-        u1, u2 = rng.random(n), rng.random(n)
+        u1, u2 = rng.random(size), rng.random(size)
         z = np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * np.pi * u2)
         x = theta * np.abs(z)
     else:
-        u = rng.random(n)
+        u = rng.random(size)
         if name == "W":
             shape, scale = spec.params
             x = scale * (-np.log1p(-u)) ** (1.0 / shape)
@@ -228,11 +234,6 @@ def sample_alternative(spec: AlternativeSpec, n: int, rng: np.random.Generator) 
         elif name == "F":
             shape, scale = spec.params
             x = scale * (-np.log(np.maximum(u, 1e-300))) ** (-1.0 / shape)
-        elif name == "LN":
-            from scipy.special import ndtri
-
-            mu, sigma = spec.mu_sigma
-            x = np.exp(mu + sigma * ndtri(np.clip(u, 1e-300, 1.0 - 1e-16)))
         elif name == "LFR":
             theta = spec.params[0]
             e = -np.log1p(-u)

@@ -4,11 +4,13 @@ The null distribution of the test statistic does not depend on (c, phi), so
 one simulation per (family, n) serves every dataset of that shape. Only the
 statistic depends on gamma, so one draw-and-fit pass at a seed serves every
 gamma: each replicate is drawn, fitted and standardized once, then scored at
-each gamma. Replicate i draws from its own counter-derived random substream,
-which makes results bit-identical for a fixed seed no matter how many workers
-run or how the replicates are batched. A power study runs all its passes, a
-null per (family, n) and an alternative per cell, through one process pool
-that holds every chunk of every pass at once.
+each gamma. The replicates run in fixed chunks of 512, and chunk k draws from
+its own substream (seed, k): its whole sample matrix in one generator call,
+then each round of MLE redraws in one more. The chunk layout does not depend
+on the worker count, so results are bit-identical for a fixed seed however
+many workers run. A power study runs all its passes, a null per (family, n)
+and an alternative per cell, through one process pool that holds every chunk
+of every pass at once. No step loads scipy.
 """
 from __future__ import annotations
 
@@ -36,10 +38,11 @@ from .families import (
 from .stat import batch_statistics, l_constant, lambda_table, statistic
 
 #: Bump when the statistic implementation changes; cached nulls are keyed on it.
-STATISTIC_CODE_VERSION = "6"
+STATISTIC_CODE_VERSION = "7"
 
-#: Replicates per work unit. Fixed so that the chunk layout (and therefore
-#: every floating-point reduction) is independent of the worker count.
+#: Replicates per work unit and per random substream. Fixed so that the chunk
+#: layout (and therefore every draw and floating-point reduction) is
+#: independent of the worker count.
 _CHUNK = 512
 
 _MAX_ATTEMPTS = 100
@@ -183,29 +186,26 @@ class StudyResult:
 # Replicate engine.
 # ---------------------------------------------------------------------------
 
-def _draw(sampler, n: int, rng: np.random.Generator) -> np.ndarray:
+def _draw(sampler, shape, rng: np.random.Generator) -> np.ndarray:
     if sampler[0] == "null":
         _, family, params = sampler
-        return sample_null(family, params, n, rng)
-    return sample_alternative(sampler[1], n, rng)
+        return sample_null(family, params, shape, rng)
+    return sample_alternative(sampler[1], shape, rng)
 
 
 def _simulate_chunk(family, n, gammas, seed, i0, i1, sampler):
-    """Replicates [i0, i1): (stats with one row per gamma, redraws, failed fits)."""
+    """Replicates [i0, i1) of chunk i0 // _CHUNK: (stats with one row per
+    gamma, redraws, failed fits). The chunk's samples, redraws included,
+    come from its substream (seed, i0 // _CHUNK)."""
     count = i1 - i0
-    rngs = [
-        np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-        for i in range(i0, i1)
-    ]
-    x = np.empty((count, n))
-    for j in range(count):
-        x[j] = _draw(sampler, n, rngs[j])
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i0 // _CHUNK,)))
+    x = _draw(sampler, (count, n), rng)
 
     stats = np.empty((len(gammas), count))
     pending = np.arange(count)
     redraws = 0
     failed = np.zeros(count, dtype=bool)
-    for attempt in range(_MAX_ATTEMPTS):
+    for _ in range(_MAX_ATTEMPTS):
         c, phi, ok, _ = fit_batch(family, x[pending])
         good = pending[ok]
         if good.size:
@@ -217,8 +217,7 @@ def _simulate_chunk(family, n, gammas, seed, i0, i1, sampler):
             break
         redraws += pending.size
         failed[pending] = True
-        for j in pending:
-            x[j] = _draw(sampler, n, rngs[j])
+        x[pending] = _draw(sampler, (pending.size, n), rng)
     else:
         raise EngineError(
             f"replicates kept failing the MLE after {_MAX_ATTEMPTS} redraws "
@@ -346,8 +345,9 @@ def build_nulls(
     ``params`` (the standard member by default; exact invariance makes the
     law identical for any choice), refits the MLE, standardizes and computes
     the statistic at every gamma the cache does not already hold. Replicates
-    whose MLE degenerates are redrawn from the replicate's own substream and
-    counted in ``redraws``. Each null equals what a separate call for its
+    whose MLE degenerates are redrawn from their chunk's substream (chunk k
+    of 512 replicates draws from substream (seed, k)) and counted in
+    ``redraws``. Each null equals what a separate call for its
     gamma at the same seed gives, bit for bit, and is cached under its own key.
     """
     gammas = tuple(float(g) for g in gammas)

@@ -267,7 +267,6 @@ class TestSizeAndPowerThroughCLI:
         from mincf.stat import statistic
         cache = NullCache(tmp_path / "cache")
         null = build_null(Family.WEIBULL, 50, 1.0, 2000, seed=0, cache=cache)
-        rng_root = np.random.SeedSequence(424242)
         hits = 0
         runs = 200
         for i in range(runs):
@@ -355,3 +354,27 @@ def test_critvals_command_loads_no_scipy():
         + _SCIPY_LOADED
     )
     assert run_python(script) == "[]"
+
+
+def test_power_study_command_loads_no_scipy(tmp_path):
+    # The lognormal sampler runs on the generator's normal routine, so a study
+    # with LN alternatives loads no scipy either: here, then through a pool.
+    cfg_path = tmp_path / "study.json"
+    cfg_path.write_text(json.dumps({
+        "families": ["weibull"], "alternatives": ["LN(1)", "LN(2.5)", "G(2,1)", "HN(1)"],
+        "gammas": [1.0], "sample_sizes": [10], "replicates": 200,
+        "crit_replicates": 200, "seed": 5,
+    }))
+    script = (
+        "import sys\n"
+        "from mincf.cli import main\n"
+        "for workers in ('1', '2'):\n"
+        f"    assert main(['power-study', '--config', {str(cfg_path)!r}, '--workers', workers,\n"
+        f"                 '--out-csv', {str(tmp_path / 'w')!r} + workers + '.csv',\n"
+        "                 '--no-cache']) == 0\n"
+        + _SCIPY_LOADED
+    )
+    assert run_python(script) == "[]"
+    csvs = [(tmp_path / f"w{workers}.csv").read_bytes() for workers in (1, 2)]
+    assert csvs[0] == csvs[1]
+    assert len(csvs[0].splitlines()) == 1 + 4

@@ -10,7 +10,16 @@ from scipy import stats as sps
 
 from mincf import simulation
 from mincf.errors import ConfigError, DomainError, EngineError
-from mincf.families import AlternativeSpec, Family, ParamPair, parse_alternative
+from mincf.estimation import fit_batch
+from mincf.families import (
+    STANDARD_PARAMS,
+    AlternativeSpec,
+    Family,
+    ParamPair,
+    parse_alternative,
+    sample_alternative,
+    sample_null,
+)
 from mincf.simulation import (
     NullCache,
     NullDistribution,
@@ -24,8 +33,7 @@ from mincf.simulation import (
     run_study,
     gof_test,
 )
-
-from helpers import run_python
+from mincf.stat import batch_statistics
 
 
 def toy_null(stats, family=Family.WEIBULL, n=20, gamma=1.0, seed=0):
@@ -108,10 +116,6 @@ class TestBuildNull:
     def test_transform_invariance_replicatewise(self):
         # Statistics from X and from 3.1 * X^(1/2.2) agree replicate by
         # replicate, which is the exact form of parameter-freeness.
-        from mincf.estimation import fit_batch
-        from mincf.stat import batch_statistics
-        from mincf.families import sample_null
-        rng_parent = np.random.SeedSequence(77)
         for i in range(50):
             rng = np.random.default_rng(np.random.SeedSequence(77, spawn_key=(i,)))
             x = sample_null(Family.WEIBULL, ParamPair(1, 1), 20, rng)[None, :]
@@ -208,6 +212,78 @@ class TestBuildNulls:
         assert os.stat(tmp_path / hit).st_ino == inode  # the hit was not rewritten
         assert [r.p_value for r in warm] == [r.p_value for r in cold]
         assert [r.statistic for r in warm] == [r.statistic for r in cold]
+
+
+class TestChunkStreams:
+    """Chunk k of 512 replicates draws from substream (seed, k): one (count, n)
+    matrix, then each round of MLE redraws in one call on the same stream."""
+
+    @staticmethod
+    def by_hand(family, n, seed, k, count, draw, reject=()):
+        # One chunk, fitted as the engine fits it: the rows in ``reject``
+        # fail their first fit and are redrawn once, in one call, then refitted.
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
+        reject = np.asarray(reject, dtype=int)
+        x = draw((count, n), rng)
+        stats = np.empty((len(GAMMAS), count))
+
+        def score(rows, c, phi):
+            y = (x[rows] / c[:, None]) ** phi[:, None]
+            for j, gamma in enumerate(GAMMAS):
+                stats[j, rows] = batch_statistics(family, gamma, y)
+
+        c, phi, ok, _ = fit_batch(family, x)
+        assert ok.all()
+        keep = np.setdiff1d(np.arange(count), reject)
+        score(keep, c[keep], phi[keep])
+        if reject.size:
+            x[reject] = draw((reject.size, n), rng)
+            c, phi, ok, _ = fit_batch(family, x[reject])
+            assert ok.all()
+            score(reject, c, phi)
+        return stats
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_chunk_equals_hand_reproduction(self, family):
+        null = ("null", family, STANDARD_PARAMS)
+        alt = parse_alternative("LN(1)")
+        cases = [
+            (null, lambda shape, rng: sample_null(family, STANDARD_PARAMS, shape, rng)),
+            (("alt", alt), lambda shape, rng: sample_alternative(alt, shape, rng)),
+        ]
+        for sampler, draw in cases:
+            for k, i0, i1 in [(0, 0, 512), (2, 1024, 1100)]:  # a full and a last chunk
+                stats, redraws, failed = simulation._simulate_chunk(
+                    family, 20, GAMMAS, 13, i0, i1, sampler)
+                assert (redraws, failed) == (0, 0)
+                assert np.array_equal(stats, self.by_hand(family, 20, 13, k, i1 - i0, draw))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_redraws_come_from_the_chunk_stream(self, monkeypatch, workers):
+        # The first fit of each full chunk rejects every 128th row. Forked
+        # pool workers inherit the patch, so both worker counts see it.
+        real_fit = simulation.fit_batch
+
+        def reject_on_first_fit(family, x):
+            c, phi, ok, iterations = real_fit(family, x)
+            if x.shape[0] == 512:
+                ok = ok.copy()
+                ok[::128] = False
+            return c, phi, ok, iterations
+
+        monkeypatch.setattr(simulation, "fit_batch", reject_on_first_fit)
+        nulls = build_nulls(Family.FRECHET, 20, GAMMAS, 1024, seed=7, workers=workers)
+
+        def draw(shape, rng):
+            return sample_null(Family.FRECHET, STANDARD_PARAMS, shape, rng)
+
+        stats = np.concatenate([
+            self.by_hand(Family.FRECHET, 20, 7, k, 512, draw, reject=[0, 128, 256, 384])
+            for k in (0, 1)
+        ], axis=1)
+        for row, null in zip(stats, nulls):
+            assert null.redraws == 8
+            assert np.array_equal(null.sorted_stats, np.sort(row))
 
 
 class TestPower:
@@ -368,27 +444,6 @@ class TestStudy:
         assert study.failures == ("null weibull n=10: disk full",)
         assert study.results == tuple(r for r in run_study(cfg).results
                                       if r.family is Family.PARETO)
-
-    def test_lognormal_pass_loads_scipy_special_before_the_pool(self):
-        # The LN sampler needs scipy.special. The parent must hold it when the
-        # pool forks, or every worker imports it anew (about 0.4 s each).
-        script = (
-            "import concurrent.futures, sys\n"
-            "from mincf import StudyConfig, run_study\n"
-            "assert 'scipy.special' not in sys.modules\n"
-            "seen = []\n"
-            "class Pool(concurrent.futures.ProcessPoolExecutor):\n"
-            "    def __init__(self, *args, **kwargs):\n"
-            "        seen.append('scipy.special' in sys.modules)\n"
-            "        super().__init__(*args, **kwargs)\n"
-            "concurrent.futures.ProcessPoolExecutor = Pool\n"
-            "config = StudyConfig.from_dict({'families': ['weibull'], 'alternatives': ['LN(1)'],\n"
-            "    'gammas': [1.0], 'sample_sizes': [10], 'replicates': 200,\n"
-            "    'crit_replicates': 200, 'seed': 5})\n"
-            "study = run_study(config, workers=2)\n"
-            "print(len(study.results), seen, 'scipy.special' in sys.modules)\n"
-        )
-        assert run_python(script) == "1 [True] True"
 
 
 class TestPowerMonotonicity:

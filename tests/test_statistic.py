@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mincf import reference
 from mincf.errors import DomainError
 from mincf.estimation import StandardizedSample, mle, standardize
 from mincf.families import Family, ParamPair, parse_alternative, sample_alternative, sample_null
@@ -30,7 +29,7 @@ from mincf.stat import (
     statistic,
 )
 
-from helpers import kernel_oracle, l_constant_oracle, lambda_oracle
+from helpers import kernel_oracle, l_constant_oracle, lambda_oracle, run_python
 
 ALL_FAMILIES = list(Family)
 GAMMAS = (0.5, 1.0, 5.0)
@@ -330,19 +329,21 @@ class TestStatistic:
                 ])
                 assert np.max(np.abs(fast - ref)) < 1e-13 * max(1.0, np.max(ref))
 
-    def test_single_lambda_route(self, monkeypatch):
-        # No production path may evaluate lam through the per-value quadrature.
-        def forbidden(*args, **kwargs):
-            raise AssertionError("per-value lam quadrature called")
-
-        monkeypatch.setattr(reference, "_lambda_via_complement", forbidden)
-        monkeypatch.setattr(reference, "small_lambda", forbidden)
-        lambda_table.cache_clear()
-        lambda_table(Family.WEIBULL, 1.0)
-        rng = np.random.default_rng(106)
-        for family in ALL_FAMILIES:
-            y = _standardized(family, 20, rng)
-            assert np.isfinite(statistic(family, y, 1.0).value)
+    def test_single_lambda_route(self):
+        # No production path may evaluate lam through the per-value quadrature
+        # or any other reference route: in a fresh interpreter, statistic()
+        # for every family leaves mincf.reference unloaded.
+        script = (
+            "import sys, numpy as np\n"
+            "from mincf import Family, ParamPair, mle, sample_null, standardize, statistic\n"
+            "rng = np.random.default_rng(106)\n"
+            "for family in Family:\n"
+            "    x = sample_null(family, ParamPair(1.0, 1.0), 20, rng)\n"
+            "    for gamma in (0.5, 1.0, 5.0):\n"
+            "        assert np.isfinite(statistic(family, standardize(x, mle(family, x)), gamma).value)\n"
+            "print('mincf.reference' in sys.modules)\n"
+        )
+        assert run_python(script) == "False"
 
     def test_rejects_non_finite_values(self):
         # This Pareto fit overflows to Y = inf; it must fail on the input
