@@ -13,7 +13,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
-from mincf.cli import main as cli_main
+from mincf.cli import available_cpus, main as cli_main
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 CONFIGS = ["table2_desk.json", "table3_desk.json", "table4_desk.json"]
@@ -21,7 +21,7 @@ CONFIGS = ["table2_desk.json", "table3_desk.json", "table4_desk.json"]
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    parser.add_argument("--workers", type=int, default=available_cpus())
     parser.add_argument("--cache-dir", default=os.path.join(HERE, ".null-cache"))
     args = parser.parse_args()
 

@@ -43,6 +43,14 @@ EXIT_INTERNAL = 4
 _DEFAULT_CACHE = os.path.join("~", ".cache", "mincf")
 
 
+def available_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    reports one (a cpuset can be smaller than the machine), else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def read_data_file(path: str) -> np.ndarray:
     """Parse a data file: one positive real per line (or single-column CSV).
 
@@ -261,8 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-        p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                       help="worker processes for the simulation (default: cores)")
+        p.add_argument("--workers", type=int, default=available_cpus(),
+                       help="processes for the simulation (default: usable CPUs)")
         p.add_argument("--cache-dir", default=_DEFAULT_CACHE,
                        help="directory for cached null distributions")
         p.add_argument("--no-cache", action="store_true",

@@ -8,15 +8,18 @@ each gamma. The replicates run in fixed chunks of 512, and chunk k draws from
 its own substream (seed, k): its whole sample matrix in one generator call,
 then each round of MLE redraws in one more. The chunk layout does not depend
 on the worker count, so results are bit-identical for a fixed seed however
-many workers run. A power study runs all its passes, a null per (family, n)
-and an alternative per cell, through one process pool that holds every chunk
-of every pass at once. No step loads scipy.
+many workers run. The calling process scores chunks itself, beside up to
+workers - 1 helpers forked once per engine call; where os.fork is missing,
+every chunk runs in the caller. A power study runs all its passes, a null per
+(family, n) and an alternative per cell, as one such call, so short passes
+run side by side. No step loads scipy.
 """
 from __future__ import annotations
 
 import math
 import numbers
 import os
+import pickle
 import uuid
 import zipfile
 from dataclasses import dataclass, fields
@@ -34,7 +37,6 @@ from .families import (
     sample_alternative,
     sample_null,
 )
-# l_constant and lambda_table are unused here; perfbench traces them by these names.
 from .stat import batch_statistics, l_constant, lambda_table, statistic
 
 #: Bump when the statistic implementation changes; cached nulls are keyed on it.
@@ -231,10 +233,13 @@ def _run_passes(passes, workers):
     or the exception it raised, in pass order.
 
     A pass is (family, n, gammas, replicates, seed, sampler), and its stats
-    have one row per gamma. Every chunk of every pass goes to one process
-    pool before any result is read, so short passes run side by side; the
-    pool gets min(workers, chunks) processes, since fork starts each one up
-    front. With one process the chunks run here, a pass per step.
+    have one row per gamma. Number the chunks of all passes in order; chunk i
+    runs in process i % size, where size = min(workers, chunks). Process 0 is
+    the caller, and the others are helpers forked once, on the first step,
+    each computing its chunks in order and piping back their results. Round
+    by round the caller scores its own chunk, then reads the helpers' chunks
+    of that round, so short passes run side by side and each pass comes out
+    as soon as its chunks are in. Without ``os.fork`` every chunk runs here.
     """
     _count("workers", workers, 1)
     chunks = [
@@ -242,40 +247,100 @@ def _run_passes(passes, workers):
          for i0 in range(0, big_n, _CHUNK)]
         for family, n, gammas, big_n, seed, sampler in passes
     ]
-    size = min(workers, sum(map(len, chunks)))
-    if size <= 1:
-        return (_join(p, (_simulate_chunk(*c) for c in cs)) for p, cs in zip(passes, chunks))
-    return _pooled(passes, chunks, size)
+    size = min(workers, sum(map(len, chunks))) if hasattr(os, "fork") else 1
+    return _rounds(passes, chunks, size)
 
 
-def _pooled(passes, chunks, size):
-    """The pool branch of :func:`_run_passes`."""
-    from concurrent.futures import ProcessPoolExecutor  # ~20 ms of import most CLI runs skip
-
-    pool = ProcessPoolExecutor(max_workers=size)
+def _rounds(passes, chunks, size):
+    """The generator behind :func:`_run_passes`."""
+    flat = [c for cs in chunks for c in cs]
+    helpers = []  # (pid, pipe reader) of processes 1 .. size - 1
     try:
-        futures = [[pool.submit(_simulate_chunk, *c) for c in cs] for cs in chunks]
-        for p, fs in zip(passes, futures):
-            yield _join(p, (f.result() for f in fs))
-    finally:  # a consumer that stops early does not wait for the passes it left
-        pool.shutdown(cancel_futures=True)
+        if size > 1:
+            _warm(passes)
+            for j in range(1, size):
+                helpers.append(_fork(flat[j::size]))
+        results, done, start = {}, 0, 0
+        for p, cs in zip(passes, chunks):
+            end = start + len(cs)
+            while done < end:  # one round: the caller's chunk, then the helpers'
+                results[done] = _attempt(flat[done])
+                for i, (_, reader) in enumerate(helpers[:len(flat) - done - 1], done + 1):
+                    results[i] = _receive(reader)
+                done += size
+            yield _join(p, [results.pop(i) for i in range(start, end)])
+            start = end
+    finally:  # also when the consumer stops early or is interrupted
+        for pid, reader in helpers:
+            reader.close()
+            os.kill(pid, 9)  # SIGKILL; the signal module stays unloaded
+            os.waitpid(pid, 0)
+
+
+def _warm(passes):
+    """Build what every chunk reads, so that forked helpers inherit it."""
+    import numpy.random  # noqa: F401  (numpy loads it on first use)
+
+    for family, _, gammas, *_ in passes:
+        for gamma in gammas:
+            lambda_table(family, gamma)
+            l_constant(family, gamma)
+
+
+def _attempt(chunk):
+    """A chunk's result, or the exception it raised."""
+    try:
+        return _simulate_chunk(*chunk)
+    except Exception as exc:
+        return exc
+
+
+def _fork(chunks):
+    """Fork a helper that computes ``chunks`` in order and pipes back each
+    one's result; return its (pid, pipe reader)."""
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        # The helper leaves by os._exit alone, so it never flushes the
+        # caller's stdio or runs its cleanup.
+        try:
+            os.close(r)
+            with open(w, "wb") as out:
+                for chunk in chunks:
+                    # Pickled twice, so that a result which will not unpickle
+                    # costs only its own chunk (see _receive).
+                    pickle.dump(pickle.dumps(_attempt(chunk)), out)
+                    out.flush()
+        finally:
+            os._exit(0)
+    os.close(w)
+    return pid, open(r, "rb")
+
+
+def _receive(reader):
+    """A helper's next chunk result, or an EngineError if it ended without
+    sending one or sent one that will not unpickle."""
+    try:
+        return pickle.loads(pickle.load(reader))
+    except Exception as exc:
+        return EngineError(f"a worker process returned no chunk result ({exc!r})")
 
 
 def _join(p, parts):
-    """A pass's (stats, redraws) from its chunk results, or the exception it raised."""
+    """A pass's (stats, redraws) from its chunk results, or the exception it
+    raised: its first chunk's, else one for too many failed fits."""
     family, n, gammas, big_n = p[:4]
-    try:
-        parts = list(parts)
-        stats = np.concatenate([part[0] for part in parts], axis=1)
-        redraws = sum(part[1] for part in parts)
-        failed = sum(part[2] for part in parts)
-        if failed > 0.01 * big_n:
-            raise EngineError(
-                f"MLE failed on {failed} of {big_n} replicates "
-                f"({family.value}, n={n}, gamma={','.join(f'{g:g}' for g in gammas)})"
-            )
-    except Exception as exc:
-        return exc
+    error = next((part for part in parts if isinstance(part, Exception)), None)
+    if error is not None:
+        return error
+    stats = np.concatenate([part[0] for part in parts], axis=1)
+    redraws = sum(part[1] for part in parts)
+    failed = sum(part[2] for part in parts)
+    if failed > 0.01 * big_n:
+        return EngineError(
+            f"MLE failed on {failed} of {big_n} replicates "
+            f"({family.value}, n={n}, gamma={','.join(f'{g:g}' for g in gammas)})"
+        )
     return stats, redraws
 
 
@@ -459,7 +524,7 @@ def run_study(
 ) -> StudyResult:
     """Run a full power study: one null pass per (family, n) for all gammas
     and one power pass per (family, n, alternative), all run by one
-    :func:`_run_passes` call, so a pool holds every pass's chunks at once.
+    :func:`_run_passes` call, so the processes share every pass's chunks.
 
     Failures are collected and reported without aborting the rest of the
     study; a failed null drops its (family, n)'s cells, whose passes have run
@@ -484,27 +549,30 @@ def run_study(
     results: list[PowerResult] = []
     failures: list[str] = []
     outcomes = _run_passes(passes, workers)
-    for label, nulls, null_pass in groups:
-        null_outcome = next(outcomes) if null_pass else None
-        try:
-            if null_pass:
-                _fill_nulls(nulls, null_pass, null_outcome, cache)
-        except Exception as exc:
-            failures.append(f"null {label}: {exc}")
-            for _ in zip(config.alternatives, outcomes):  # drop its cells' outcomes
-                pass
-            continue
-        cell_nulls = tuple(nulls[g] for g in config.gammas)
-        for alt, outcome in zip(config.alternatives, outcomes):
+    try:
+        for label, nulls, null_pass in groups:
+            null_outcome = next(outcomes) if null_pass else None
             try:
-                cells = _rates(alt, config.alpha, config.replicates, cell_nulls, outcome)
+                if null_pass:
+                    _fill_nulls(nulls, null_pass, null_outcome, cache)
             except Exception as exc:
-                failures.append(f"power {label} vs {alt}: {exc}")
+                failures.append(f"null {label}: {exc}")
+                for _ in zip(config.alternatives, outcomes):  # drop its cells' outcomes
+                    pass
                 continue
-            results.extend(cells)
-            if progress is not None:
-                for res in cells:
-                    progress(res)
+            cell_nulls = tuple(nulls[g] for g in config.gammas)
+            for alt, outcome in zip(config.alternatives, outcomes):
+                try:
+                    cells = _rates(alt, config.alpha, config.replicates, cell_nulls, outcome)
+                except Exception as exc:
+                    failures.append(f"power {label} vs {alt}: {exc}")
+                    continue
+                results.extend(cells)
+                if progress is not None:
+                    for res in cells:
+                        progress(res)
+    finally:  # a progress callback that raises leaves no helper behind
+        outcomes.close()
     return StudyResult(config=config, results=tuple(results), failures=tuple(failures))
 
 

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from mincf import cli, simulation
 from mincf.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, main, read_data_file
 from mincf.errors import ConfigError
 
@@ -179,6 +180,32 @@ class TestCritvalsCommand:
         assert code == EXIT_INPUT
         assert "not a comma-separated list of integers" in capsys.readouterr().err
 
+    def test_killed_helper_exits_3_and_is_reaped(self, monkeypatch, capsys):
+        caller, real_fit = os.getpid(), simulation.fit_batch
+
+        def die_in_helper(family, x):
+            if os.getpid() != caller:
+                os._exit(1)
+            return real_fit(family, x)
+
+        monkeypatch.setattr(simulation, "fit_batch", die_in_helper)
+        code = main(["critvals", "--family", "weibull", "--n", "10", "--replicates", "1100",
+                     "--workers", "2", "--no-cache"])
+        assert code == EXIT_NUMERIC
+        assert "returned no chunk result" in capsys.readouterr().err
+        with pytest.raises(ChildProcessError):  # the helper was reaped
+            os.waitpid(-1, os.WNOHANG)
+
+
+def test_default_workers_are_the_usable_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    assert cli.available_cpus() == 1
+    args = cli.build_parser().parse_args(["critvals", "--family", "pareto"])
+    assert args.workers == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli.available_cpus() == 1
+
 
 class TestPowerStudyCommand:
     def test_small_study_writes_csv_and_manifest(self, tmp_path, capsys):
@@ -312,13 +339,16 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
 
 
 # Importing scipy.special costs about 0.4 s, as much as the rest of a warm
-# `mincf test`; the test and critvals paths run on numpy alone.
-_SCIPY_LOADED = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+# `mincf test`; the test and critvals paths run on numpy alone. The engine
+# forks its helpers itself, so no command loads a process pool either.
+_SCIPY_LOADED = (
+    "print(sorted(m for m in sys.modules if m.split('.')[0] in\n"
+    "             ('scipy', 'concurrent', 'multiprocessing')))\n"
+)
 
 
 def test_cli_import_loads_no_scipy():
-    # Nor the reference routes, nor the process pool (~20 ms of import) that a
-    # warm `mincf test` never opens.
+    # Nor the reference routes.
     script = (
         "import sys, mincf.cli\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
@@ -330,18 +360,21 @@ def test_cli_import_loads_no_scipy():
 def test_cold_and_warm_test_commands_load_no_scipy(tmp_path):
     data = tmp_path / "data.txt"
     np.savetxt(data, np.random.default_rng(8).weibull(1.5, size=30))
+    # 600 replicates are two chunks, so --workers 2 forks a helper.
     script = (
         "import sys\n"
         "from mincf.cli import main\n"
-        "for family in ('weibull', 'pareto', 'frechet'):\n"
-        "    for _ in range(2):  # cold, then warm from the cache\n"
-        f"        assert main(['test', '--family', family, '--data', {str(data)!r},\n"
-        "                     '--replicates', '200', '--seed', '3', '--workers', '1',\n"
-        f"                     '--cache-dir', {str(tmp_path / 'cache')!r}]) == 0\n"
+        "for workers in ('1', '2'):\n"
+        "    for family in ('weibull', 'pareto', 'frechet'):\n"
+        "        for _ in range(2):  # cold, then warm from the cache\n"
+        f"            assert main(['test', '--family', family, '--data', {str(data)!r},\n"
+        "                         '--replicates', '600', '--seed', '3', '--workers', workers,\n"
+        f"                         '--cache-dir', {str(tmp_path)!r} + '/cache' + workers]) == 0\n"
         + _SCIPY_LOADED
     )
     assert run_python(script) == "[]"
-    assert len(os.listdir(tmp_path / "cache")) == 3 * 3  # one null per (family, gamma)
+    for workers in (1, 2):  # one null per (family, gamma)
+        assert len(os.listdir(tmp_path / f"cache{workers}")) == 3 * 3
 
 
 def test_critvals_command_loads_no_scipy():
@@ -349,8 +382,9 @@ def test_critvals_command_loads_no_scipy():
         "import sys\n"
         "from mincf.cli import main\n"
         "for family in ('weibull', 'pareto', 'frechet'):\n"
-        "    assert main(['critvals', '--family', family, '--n', '10,30', '--replicates', '200',\n"
-        "                 '--workers', '1', '--no-cache']) == 0\n"
+        "    for workers in ('1', '2'):\n"
+        "        assert main(['critvals', '--family', family, '--n', '10,30',\n"
+        "                     '--replicates', '600', '--workers', workers, '--no-cache']) == 0\n"
         + _SCIPY_LOADED
     )
     assert run_python(script) == "[]"
@@ -358,7 +392,7 @@ def test_critvals_command_loads_no_scipy():
 
 def test_power_study_command_loads_no_scipy(tmp_path):
     # The lognormal sampler runs on the generator's normal routine, so a study
-    # with LN alternatives loads no scipy either: here, then through a pool.
+    # with LN alternatives loads no scipy either: here, then beside a helper.
     cfg_path = tmp_path / "study.json"
     cfg_path.write_text(json.dumps({
         "families": ["weibull"], "alternatives": ["LN(1)", "LN(2.5)", "G(2,1)", "HN(1)"],

@@ -1,6 +1,4 @@
-import concurrent.futures
 import os
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -9,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 from mincf import simulation
-from mincf.errors import ConfigError, DomainError, EngineError
+from mincf.errors import ConfigError, DomainError, EngineError, IntegrationError
 from mincf.estimation import fit_batch
 from mincf.families import (
     STANDARD_PARAMS,
@@ -145,28 +143,25 @@ GAMMAS = (0.5, 1.0, 5.0)
 
 
 @pytest.fixture
-def serial_pool(monkeypatch):
-    """Swap the engine's process pool for one that runs each submitted call
-    here, starting no process; the list it returns gets each pool's size."""
-    sizes = []
+def helper_forks(monkeypatch):
+    """Record the pid of each helper the engine forks; afterwards, check that
+    every helper was reaped."""
+    real_fork, pids = os.fork, []
 
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def counted():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
 
-        def submit(self, fn, *args):
-            future = Future()
-            try:
-                future.set_result(fn(*args))
-            except Exception as exc:
-                future.set_exception(exc)
-            return future
+    monkeypatch.setattr(os, "fork", counted)
+    yield pids
+    assert_no_child_left()
 
-        def shutdown(self, cancel_futures=False):
-            pass
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    return sizes
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestBuildNulls:
@@ -180,10 +175,11 @@ class TestBuildNulls:
             assert np.array_equal(null.sorted_stats, alone.sorted_stats)
             assert null.redraws == alone.redraws
 
-    def test_pool_sized_to_chunks(self, serial_pool):
+    def test_helpers_sized_to_chunks(self, helper_forks):
         serial = build_null(Family.PARETO, 10, 1.0, 600, seed=3, workers=1)
+        assert helper_forks == []
         wide = build_null(Family.PARETO, 10, 1.0, 600, seed=3, workers=64)
-        assert serial_pool == [2]
+        assert len(helper_forks) == 2 - 1
         assert np.array_equal(serial.sorted_stats, wide.sorted_stats)
 
     def test_failure_counted_once_and_names_all_gammas(self, monkeypatch):
@@ -261,7 +257,7 @@ class TestChunkStreams:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_redraws_come_from_the_chunk_stream(self, monkeypatch, workers):
         # The first fit of each full chunk rejects every 128th row. Forked
-        # pool workers inherit the patch, so both worker counts see it.
+        # helpers inherit the patch, so both worker counts see it.
         real_fit = simulation.fit_batch
 
         def reject_on_first_fit(family, x):
@@ -284,6 +280,79 @@ class TestChunkStreams:
         for row, null in zip(stats, nulls):
             assert null.redraws == 8
             assert np.array_equal(null.sorted_stats, np.sort(row))
+
+
+class TestHelpers:
+    """Chunk i runs in process i % min(workers, chunks): the caller is process
+    0 and the others are forked helpers, which die or are reaped with the run."""
+
+    @staticmethod
+    def in_helpers_only(monkeypatch, name, action):
+        # Patch simulation.<name> so that ``action(real, *args)`` runs in a
+        # forked helper while the caller keeps the real function.
+        caller, real = os.getpid(), getattr(simulation, name)
+
+        def patched(*args):
+            return real(*args) if os.getpid() == caller else action(real, *args)
+
+        monkeypatch.setattr(simulation, name, patched)
+
+    def test_without_fork_every_chunk_runs_here(self, monkeypatch):
+        serial = build_null(Family.FRECHET, 10, 1.0, 1100, seed=6, workers=1)
+        monkeypatch.delattr(os, "fork")
+        alone = build_null(Family.FRECHET, 10, 1.0, 1100, seed=6, workers=3)
+        assert np.array_equal(serial.sorted_stats, alone.sorted_stats)
+
+    def test_dead_helper_is_an_engine_error(self, monkeypatch, helper_forks):
+        self.in_helpers_only(monkeypatch, "fit_batch", lambda real, *args: os._exit(1))
+        with pytest.raises(EngineError, match="returned no chunk result"):
+            build_nulls(Family.WEIBULL, 10, GAMMAS, 1100, seed=5, workers=2)
+        assert len(helper_forks) == 1
+        assert_no_child_left()
+
+    def test_unpicklable_exception_costs_only_its_chunk(self, monkeypatch, helper_forks):
+        # IntegrationError needs keyword arguments, so it does not unpickle.
+        def fail_seed_1(real, *chunk):
+            if chunk[3] == 1:
+                raise IntegrationError("no", estimate=0.0, error=1.0)
+            return real(*chunk)
+
+        self.in_helpers_only(monkeypatch, "_simulate_chunk", fail_seed_1)
+        passes = [(Family.WEIBULL, 10, GAMMAS, 1024, seed, ("null", Family.WEIBULL, STANDARD_PARAMS))
+                  for seed in (1, 2)]
+        bad, good = simulation._run_passes(passes, 2)
+        assert isinstance(bad, EngineError) and "IntegrationError" in str(bad)
+        (alone,) = simulation._run_passes(passes[1:], 1)
+        assert np.array_equal(good[0], alone[0]) and good[1] == alone[1]
+
+    def test_closed_early_leaves_no_helper(self, helper_forks):
+        passes = [(Family.PARETO, 10, (1.0,), 1024, seed, ("null", Family.PARETO, STANDARD_PARAMS))
+                  for seed in (1, 2, 3)]
+        outcomes = simulation._run_passes(passes, 3)
+        next(outcomes)
+        outcomes.close()
+        assert len(helper_forks) == 2
+        assert_no_child_left()
+
+    def test_study_stopped_by_progress_leaves_no_helper(self, helper_forks):
+        cfg = StudyConfig(
+            families=(Family.WEIBULL,),
+            alternatives=(parse_alternative("LN(1)"), parse_alternative("G(2,1)")),
+            gammas=(1.0,), sample_sizes=(10,), replicates=1100, crit_replicates=1100, seed=3,
+        )
+
+        class Stop(Exception):
+            pass
+
+        def stop(result):
+            raise Stop
+
+        # The traceback keeps run_study's frame, and so its pass iterator, alive.
+        with pytest.raises(Stop) as stopped:
+            run_study(cfg, workers=2, progress=stop)
+        assert len(helper_forks) == 1
+        assert_no_child_left()
+        assert stopped.traceback
 
 
 class TestPower:
@@ -396,7 +465,7 @@ class TestStudy:
                     assert next(cells) == alone
         assert next(cells, None) is None
 
-    def test_one_pool_sized_to_all_chunks(self, serial_pool):
+    def test_helpers_sized_to_all_chunks(self, helper_forks):
         # 2 families x (a 2-chunk null + 2 alternatives of 2 chunks) = 12 chunks.
         cfg = StudyConfig(
             families=(Family.WEIBULL, Family.FRECHET),
@@ -405,25 +474,27 @@ class TestStudy:
             crit_replicates=700, seed=29,
         )
         serial = run_study(cfg, workers=1)
-        assert serial_pool == []
+        assert helper_forks == []
         assert run_study(cfg, workers=5) == serial
+        assert len(helper_forks) == 5 - 1
+        helper_forks.clear()
         assert run_study(cfg, workers=64) == serial
-        assert serial_pool == [5, 12]
+        assert len(helper_forks) == 12 - 1
         assert not serial.failures and len(serial.results) == 2 * 2 * 2
 
-    def test_failures_collected_without_abort(self, serial_pool):
+    def test_failures_collected_without_abort(self, helper_forks):
         cfg = StudyConfig(
             families=(Family.WEIBULL,),
             alternatives=(AlternativeSpec("LN", (1e-12,)), parse_alternative("LN(1)")),
             gammas=(1.0,), sample_sizes=(5,), replicates=200,
             crit_replicates=200, seed=17,
         )
-        for workers in (1, 4):  # here, then through a pool of the 3 chunks
+        for workers in (1, 4):  # here, then beside helpers for 2 of the 3 chunks
             study = run_study(cfg, workers=workers)
             assert len(study.failures) == 1
             assert "LN(1e-12)" in study.failures[0]
             assert len(study.results) == 1
-        assert serial_pool == [3]
+        assert len(helper_forks) == 3 - 1
 
     def test_failed_null_drops_only_its_cells(self, tmp_path):
         # A null that cannot be saved fails its (family, n); the cells of the
