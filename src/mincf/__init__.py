@@ -12,14 +12,12 @@ from .errors import (
     DegenerateSampleError,
     DomainError,
     EngineError,
-    IntegrationError,
 )
 from .families import (
     AlternativeSpec,
     Family,
     ParamPair,
     STANDARD_PARAMS,
-    alternative_support,
     null_min_cf,
     null_quantile,
     parse_alternative,
@@ -48,20 +46,3 @@ from .simulation import (
 )
 
 __version__ = "0.1.0"
-
-# The reference routes load scipy.integrate and scipy.optimize, so the package
-# root resolves their names on first use (PEP 562).
-_REFERENCE = frozenset({
-    "QuadratureResult", "QuadratureSpec", "alternative_cdf", "alternative_density",
-    "empirical_min_cf", "integrate", "kernel_lambda", "mle_limit", "null_cdf",
-    "null_density", "population_delta", "population_min_cf", "small_lambda",
-    "statistic_direct",
-})
-
-
-def __getattr__(name):
-    if name in _REFERENCE:
-        from . import reference
-
-        return getattr(reference, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,7 +1,8 @@
 """Command-line front end: test datasets, tabulate critical values, run studies.
 
 Exit codes: 0 success, 2 input/validation error (an OSError from a
-user-supplied path counts as one), 3 numerical failure, 4 internal error.
+user-supplied path counts as one), 3 numerical failure, 4 internal error,
+130 interrupted (Ctrl-C, SIGINT).
 """
 from __future__ import annotations
 
@@ -21,7 +22,6 @@ from .errors import (
     DegenerateSampleError,
     DomainError,
     EngineError,
-    IntegrationError,
 )
 from .families import Family, parse_alternative
 from .simulation import (
@@ -39,6 +39,7 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 EXIT_INTERNAL = 4
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, the shell's code for Ctrl-C
 
 _DEFAULT_CACHE = os.path.join("~", ".cache", "mincf")
 
@@ -312,12 +313,12 @@ def main(argv=None) -> int:
     except (ConfigError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (DegenerateSampleError, ConvergenceError, IntegrationError, EngineError) as exc:
+    except (DegenerateSampleError, ConvergenceError, EngineError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
-        return EXIT_INTERNAL
+        return EXIT_INTERRUPTED
     except Exception as exc:  # pragma: no cover
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

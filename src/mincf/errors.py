@@ -22,18 +22,5 @@ class ConvergenceError(RuntimeError):
         self.residual = residual
 
 
-class IntegrationError(RuntimeError):
-    """Adaptive quadrature could not reach the requested tolerance.
-
-    Carries the best estimate and the achieved error bound so callers can
-    decide whether the partial result is still usable.
-    """
-
-    def __init__(self, message, *, estimate, error):
-        super().__init__(message)
-        self.estimate = estimate
-        self.error = error
-
-
 class EngineError(RuntimeError):
     """The Monte Carlo engine hit a persistent failure (e.g. MLE breakdown)."""

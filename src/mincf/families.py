@@ -8,8 +8,8 @@ studies, parsed from a compact string grammar such as ``W(1.5,1)+1`` or
 ``LN(2.5)``. Every sampler needs numpy alone (the lognormal one takes the
 generator's normal routine), and each takes a sample size or a whole shape,
 so a batch of samples comes from one generator call. The densities and
-distribution functions serve only the tests and live in
-:mod:`mincf.reference`.
+distribution functions serve only the tests, which hold them in
+``tests/oracles.py``.
 """
 from __future__ import annotations
 
@@ -192,13 +192,6 @@ def parse_alternative(text: str) -> AlternativeSpec:
         raise ConfigError(f"bad parameter list in {text!r}")
     shift = float(raw_shift) if raw_shift is not None else 0.0
     return AlternativeSpec(name=name, params=params, shift=shift)
-
-
-def alternative_support(spec: AlternativeSpec) -> float:
-    """Infimum of the support (the essential minimum of the law)."""
-    if spec.name == "P":
-        return spec.shift + spec.params[1]
-    return spec.shift
 
 
 def sample_alternative(spec: AlternativeSpec, size, rng: np.random.Generator) -> np.ndarray:

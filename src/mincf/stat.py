@@ -21,7 +21,8 @@ serving the observed :func:`statistic` and the engine's :func:`batch_statistics`
 
 E1, K_nu and the incomplete gammas come from :mod:`mincf.special` in numpy,
 so the production route loads no scipy. The quadrature oracles the tests
-hold these terms to live in :mod:`mincf.reference`.
+hold these terms to are part of the test suite (``tests/oracles.py``), not
+of the package.
 """
 from __future__ import annotations
 
@@ -91,7 +92,7 @@ def _kernel_sum(g: float, y: np.ndarray) -> np.ndarray:
     G(s) = s P(2, g/s)/g^2 + e^(-g/s)/g = s (1 - e^(-g/s))/g^2. On sorted values, with
     S_j the sum of the j smaller ones, the sum is
     sum_j F(y_j)(2 S_j + y_j) + G(y_j)(2(n-1-j) + 1). The pairwise form,
-    :func:`mincf.reference.kernel_lambda`, is the test oracle.
+    ``kernel_lambda`` in ``tests/oracles.py``, is the test oracle.
 
     The split cancels where both values of a pair are << g (K ~ 2ls/g^3, each
     part ~ s/g^2). MLE-standardized rows have max(Y) >= 1 (Weibull: mean Y = 1;
@@ -405,8 +406,8 @@ def lambda_table(family: Family, gamma: float) -> LambdaTable:
     def f(u):
         # lam_inf minus int_0^(1/z) (1 - z t) psi0(t) e^(-g t) dt at every z at once, by
         # Gauss-Legendre on `pieces` cut at 1/z: within 1e-15 * max(1, lam_inf) of
-        # reference.small_lambda for g in [0.001, 1000]. A last piece [16, 40/g]
-        # lost 5e-7 at g = 0.02.
+        # the test oracle small_lambda for g in [0.001, 1000]. A last piece
+        # [16, 40/g] lost 5e-7 at g = 0.02.
         z = np.exp(u)[:, None]
         return lam_inf - _gauss_legendre(
             lambda t: (1.0 - z[..., None] * t) * null_min_cf(Family.WEIBULL, t) * np.exp(-g * t),

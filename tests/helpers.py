@@ -1,10 +1,10 @@
 """Shared oracle utilities for the test suite.
 
 Oracles: brute-force midpoint sums, scipy.integrate.quad with explicit kink
-points, and mpmath high-precision quadrature. mincf.reference.integrate also
-wraps scipy.integrate.quad, so these oracles are independent of the
-production route only: closed forms plus a fixed Gauss-Legendre rule, which
-share no code with QUADPACK.
+points, and mpmath high-precision quadrature. oracles.integrate also wraps
+scipy.integrate.quad, so these oracles are independent of the production
+route only: closed forms plus a fixed Gauss-Legendre rule, which share no
+code with QUADPACK.
 """
 import os
 import subprocess
@@ -17,14 +17,20 @@ import mincf
 from mincf.families import Family, null_min_cf
 
 
+def checkout_env(**extra) -> dict:
+    """The environment, plus ``extra``, for a fresh interpreter that imports
+    this checkout's mincf."""
+    src = os.path.dirname(os.path.dirname(mincf.__file__))
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def run_python(script: str) -> str:
     """Run ``script`` in a fresh interpreter that imports this checkout's mincf;
     return the last line it printed."""
-    src = os.path.dirname(os.path.dirname(mincf.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     out = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True,
+        [sys.executable, "-c", script], env=checkout_env(), capture_output=True, text=True,
+        check=True,
     ).stdout
     return out.strip().splitlines()[-1]
 

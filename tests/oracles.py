@@ -1,8 +1,9 @@
-"""Reference routes: the quantities of the test computed from their definitions.
+"""Test oracles: the quantities of the test computed from their definitions.
 
-The production route (:mod:`mincf.stat`) assembles the statistic from closed
-forms and fixed rules. The tests hold it to the routes here, which integrate
-the defining integrals adaptively through :func:`integrate` (QUADPACK):
+This module is part of the test suite, not of the package. The production
+route (:mod:`mincf.stat`) assembles the statistic from closed forms and
+fixed rules. The tests hold it to the routes here, which integrate the
+defining integrals adaptively through :func:`integrate` (QUADPACK):
 
 * :func:`statistic_direct` - n int (psi_n(t) - psi0(t))^2 e^(-gamma t) dt;
 * :func:`small_lambda` - lam(z) at one point, for Weibull by one quadrature;
@@ -13,9 +14,7 @@ the defining integrals adaptively through :func:`integrate` (QUADPACK):
 * the densities and distribution functions of the null and alternative laws.
 
 The integrands take and return one float, written with :mod:`math`; their
-psi0 takes E1 from ``scipy.special``, not from :mod:`mincf.special`. No
-production module imports this one, and it is the only module that loads
-``scipy.integrate`` and ``scipy.optimize``.
+psi0 takes E1 from ``scipy.special``, not from :mod:`mincf.special`.
 """
 from __future__ import annotations
 
@@ -26,13 +25,26 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
-from scipy.special import erf, exp1, gammainc, gammaln, ndtr
+from scipy.special import erf, exp1, gammainc, ndtr
 
-from .errors import ConfigError, ConvergenceError, DomainError, IntegrationError
-from .estimation import StandardizedSample
-from .families import AlternativeSpec, Family, ParamPair, alternative_support
-from .special import gammainc23
-from .stat import _check_gamma, _lambda_closed, lambda_complete
+from mincf.errors import ConfigError, ConvergenceError, DomainError
+from mincf.estimation import StandardizedSample
+from mincf.families import AlternativeSpec, Family, ParamPair
+from mincf.special import gammainc23
+from mincf.stat import _check_gamma, _lambda_closed, lambda_complete
+
+
+class IntegrationError(RuntimeError):
+    """Adaptive quadrature could not reach the requested tolerance.
+
+    Carries the best estimate and the achieved error bound so callers can
+    decide whether the partial result is still usable.
+    """
+
+    def __init__(self, message, *, estimate, error):
+        super().__init__(message)
+        self.estimate = estimate
+        self.error = error
 
 
 # ---------------------------------------------------------------------------
@@ -160,60 +172,62 @@ def null_cdf(family: Family, params: ParamPair, x):
     return float(out[0]) if scalar else out.reshape(np.shape(x))
 
 
-def alternative_density(spec: AlternativeSpec, x):
-    """Density of the (shifted) alternative law; zero outside the support."""
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr) - spec.shift
-    out = np.zeros_like(arr)
-    name = spec.name
+# math.exp raises above about 709.78; an inner exponent capped here still
+# sends the density to zero far out, as numpy's overflow to inf did.
+_EXP_CAP = 709.0
 
+
+def alternative_support(spec: AlternativeSpec) -> float:
+    """Infimum of the support (the essential minimum of the law)."""
+    if spec.name == "P":
+        return spec.shift + spec.params[1]
+    return spec.shift
+
+
+def alternative_density(spec: AlternativeSpec, x: float) -> float:
+    """Density of the (shifted) alternative law at one x; zero outside the support."""
+    v = x - spec.shift
+    name = spec.name
     # exp(log density) form: extreme abscissae underflow to zero rather than
     # hitting inf*0.
-    with np.errstate(over="ignore", invalid="ignore"):
-        if name == "P":
-            shape, scale = spec.params
-            m = arr > scale
-            out[m] = np.exp(np.log(shape / scale) - (shape + 1.0) * np.log(arr[m] / scale))
-        else:
-            m = arr > 0
-            v = arr[m]
-            if name == "W":
-                shape, scale = spec.params
-                lr = np.log(v / scale)
-                out[m] = np.exp(np.log(shape / scale) + (shape - 1.0) * lr - np.exp(shape * lr))
-            elif name == "G":
-                shape, scale = spec.params
-                out[m] = np.exp(
-                    (shape - 1.0) * np.log(v) - v / scale
-                    - shape * math.log(scale) - gammaln(shape)
-                )
-            elif name == "LN":
-                mu, sigma = spec.mu_sigma
-                out[m] = np.exp(
-                    -((np.log(v) - mu) ** 2) / (2.0 * sigma ** 2) - np.log(v)
-                    - math.log(sigma * math.sqrt(2.0 * math.pi))
-                )
-            elif name == "HN":
-                theta = spec.params[0]
-                out[m] = np.exp(
-                    math.log(math.sqrt(2.0 / math.pi) / theta) - v * v / (2.0 * theta ** 2)
-                )
-            elif name == "LFR":
-                theta = spec.params[0]
-                out[m] = np.exp(np.log1p(theta * v) - v - 0.5 * theta * v * v)
-            elif name == "CH":
-                theta = spec.params[0]
-                w = v ** theta
-                expo = np.where(w < 700.0, w - 2.0 * np.expm1(np.minimum(w, 700.0)), -np.inf)
-                out[m] = np.exp(np.log(2.0 * theta) + (theta - 1.0) * np.log(v) + expo)
-            elif name == "F":
-                shape, scale = spec.params
-                lr = np.log(v / scale)
-                out[m] = np.exp(np.log(shape / scale) - (1.0 + shape) * lr - np.exp(-shape * lr))
-            else:  # pragma: no cover
-                raise ConfigError(f"unknown alternative {name!r}")
-    return float(out[0]) if scalar else out.reshape(np.shape(x))
+    if name == "P":
+        shape, scale = spec.params
+        if not v > scale:
+            return 0.0
+        return math.exp(math.log(shape / scale) - (shape + 1.0) * math.log(v / scale))
+    if not v > 0.0:
+        return 0.0
+    if name == "W":
+        shape, scale = spec.params
+        lr = math.log(v / scale)
+        log_d = math.log(shape / scale) + (shape - 1.0) * lr - math.exp(min(shape * lr, _EXP_CAP))
+    elif name == "G":
+        shape, scale = spec.params
+        log_d = ((shape - 1.0) * math.log(v) - v / scale
+                 - shape * math.log(scale) - math.lgamma(shape))
+    elif name == "LN":
+        mu, sigma = spec.mu_sigma
+        lv = math.log(v)
+        log_d = (-((lv - mu) ** 2) / (2.0 * sigma ** 2) - lv
+                 - math.log(sigma * math.sqrt(2.0 * math.pi)))
+    elif name == "HN":
+        theta = spec.params[0]
+        log_d = math.log(math.sqrt(2.0 / math.pi) / theta) - v * v / (2.0 * theta ** 2)
+    elif name == "LFR":
+        theta = spec.params[0]
+        log_d = math.log1p(theta * v) - v - 0.5 * theta * v * v
+    elif name == "CH":
+        theta = spec.params[0]
+        lv = math.log(v)
+        w = math.exp(min(theta * lv, _EXP_CAP))
+        log_d = math.log(2.0 * theta) + (theta - 1.0) * lv + w - 2.0 * math.expm1(min(w, _EXP_CAP))
+    elif name == "F":
+        shape, scale = spec.params
+        lr = math.log(v / scale)
+        log_d = math.log(shape / scale) - (1.0 + shape) * lr - math.exp(min(-shape * lr, _EXP_CAP))
+    else:  # pragma: no cover
+        raise ConfigError(f"unknown alternative {name!r}")
+    return math.exp(log_d)
 
 
 def alternative_cdf(spec: AlternativeSpec, x):

@@ -26,18 +26,17 @@ from mincf import (
     derive_seed,
     exp_integral_e1,
     mle,
-    mle_limit,
     parse_alternative,
-    population_delta,
     power,
     standardize,
     statistic,
-    statistic_direct,
 )
 from mincf.estimation import fit_batch
 from mincf.families import sample_alternative, sample_null
 from mincf.simulation import NullCache
 from mincf.stat import batch_statistics
+
+from oracles import mle_limit, population_delta, statistic_direct
 
 SEED = 20230817
 WORKERS = min(8, os.cpu_count() or 1)

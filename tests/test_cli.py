@@ -1,14 +1,20 @@
+import importlib
 import json
 import os
+import signal
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
 
+import mincf
 from mincf import cli, simulation
-from mincf.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, main, read_data_file
+from mincf.cli import EXIT_INPUT, EXIT_INTERRUPTED, EXIT_NUMERIC, EXIT_OK, main, read_data_file
 from mincf.errors import ConfigError
 
-from helpers import run_python
+from helpers import checkout_env, run_python
 
 
 @pytest.fixture
@@ -196,6 +202,31 @@ class TestCritvalsCommand:
         with pytest.raises(ChildProcessError):  # the helper was reaped
             os.waitpid(-1, os.WNOHANG)
 
+    def test_ctrl_c_exits_130(self):
+        # Ctrl-C in a terminal sends SIGINT to the whole foreground group:
+        # here the caller and its forked helper. The half-second wait lets
+        # the caller build the lam tables and fork; the run takes seconds
+        # more, so the signal lands mid-run.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "mincf", "critvals", "--family", "frechet", "--n", "200",
+             "--replicates", "20000", "--workers", "2", "--no-cache"],
+            env=checkout_env(PYTHONUNBUFFERED="1"), stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True, start_new_session=True,
+        )
+        try:
+            assert proc.stdout.readline().startswith("family: frechet")
+            time.sleep(0.5)
+            os.killpg(proc.pid, signal.SIGINT)
+            _, err = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+        assert proc.returncode == EXIT_INTERRUPTED
+        assert "interrupted" in err
+        with pytest.raises(ProcessLookupError):  # the helper was reaped too
+            os.killpg(proc.pid, 0)
+
 
 def test_default_workers_are_the_usable_cpus(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
@@ -324,16 +355,18 @@ class TestSizeAndPowerThroughCLI:
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
     # scipy.optimize costs about 0.3 s of start-up and no command needs it;
-    # scipy.integrate would load it too. statistic() must need neither. As
-    # mincf.reference imports both, this also shows that no production path
-    # (L, the lam tables, statistic()) calls a reference route.
+    # scipy.integrate would load it too. statistic() needs no scipy module at
+    # all, so no production path (L, the lam tables, statistic()) evaluates a
+    # term by quadrature.
     script = (
         "import sys, numpy as np, mincf.cli\n"
         "from mincf import Family, ParamPair, mle, sample_null, standardize, statistic\n"
         "for family in Family:\n"
         "    x = sample_null(family, ParamPair(1.0, 1.0), 20, np.random.default_rng(3))\n"
-        "    statistic(family, standardize(x, mle(family, x)), 1.0)\n"
-        "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules))\n"
+        "    y = standardize(x, mle(family, x))\n"
+        "    for gamma in (0.5, 1.0, 5.0):\n"
+        "        assert np.isfinite(statistic(family, y, gamma).value)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     assert run_python(script) == "[]"
 
@@ -348,13 +381,26 @@ _SCIPY_LOADED = (
 
 
 def test_cli_import_loads_no_scipy():
-    # Nor the reference routes.
     script = (
         "import sys, mincf.cli\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
-        "             or m in ('mincf.reference', 'concurrent.futures')))\n"
+        "             or m == 'concurrent.futures'))\n"
     )
     assert run_python(script) == "[]"
+
+
+def test_package_ships_no_test_oracles():
+    # The quadrature oracles, and the names only they use, live in the test
+    # suite (tests/oracles.py).
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("mincf.reference")
+    removed = {
+        "QuadratureResult", "QuadratureSpec", "alternative_cdf", "alternative_density",
+        "empirical_min_cf", "integrate", "kernel_lambda", "mle_limit", "null_cdf",
+        "null_density", "population_delta", "population_min_cf", "small_lambda",
+        "statistic_direct", "IntegrationError", "alternative_support",
+    }
+    assert sorted(name for name in removed if hasattr(mincf, name)) == []
 
 
 def test_cold_and_warm_test_commands_load_no_scipy(tmp_path):

@@ -14,16 +14,21 @@ from mincf.families import (
     Family,
     ParamPair,
     STANDARD_PARAMS,
-    alternative_support,
     null_min_cf,
     null_quantile,
     parse_alternative,
     sample_alternative,
     sample_null,
 )
-from mincf.reference import alternative_cdf, alternative_density, null_cdf, null_density
 
 from helpers import quad_pieces
+from oracles import (
+    alternative_cdf,
+    alternative_density,
+    alternative_support,
+    null_cdf,
+    null_density,
+)
 
 ALL_FAMILIES = list(Family)
 

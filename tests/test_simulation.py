@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 from mincf import simulation
-from mincf.errors import ConfigError, DomainError, EngineError, IntegrationError
+from mincf.errors import ConfigError, DomainError, EngineError
 from mincf.estimation import fit_batch
 from mincf.families import (
     STANDARD_PARAMS,
@@ -32,6 +32,8 @@ from mincf.simulation import (
     gof_test,
 )
 from mincf.stat import batch_statistics
+
+from oracles import IntegrationError
 
 
 def toy_null(stats, family=Family.WEIBULL, n=20, gamma=1.0, seed=0):

@@ -10,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mincf import special
-from mincf.errors import DomainError, IntegrationError
-from mincf.reference import QuadratureSpec, integrate
+from mincf.errors import DomainError
 from mincf.special import EULER_GAMMA, bessel_k, exp_integral_e1, gammainc23, gammaincc23
 
 from helpers import midpoint_oracle
+from oracles import IntegrationError, QuadratureSpec, integrate
 
 
 def test_euler_gamma_bracket():

@@ -11,15 +11,6 @@ from hypothesis import strategies as st
 from mincf.errors import DomainError
 from mincf.estimation import StandardizedSample, mle, standardize
 from mincf.families import Family, ParamPair, parse_alternative, sample_alternative, sample_null
-from mincf.reference import (
-    empirical_min_cf,
-    kernel_lambda,
-    mle_limit,
-    population_delta,
-    population_min_cf,
-    small_lambda,
-    statistic_direct,
-)
 from mincf.stat import (
     _kernel_sum,
     batch_statistics,
@@ -29,7 +20,17 @@ from mincf.stat import (
     statistic,
 )
 
-from helpers import kernel_oracle, l_constant_oracle, lambda_oracle, run_python
+from helpers import kernel_oracle, l_constant_oracle, lambda_oracle
+from oracles import (
+    empirical_min_cf,
+    integrate,
+    kernel_lambda,
+    mle_limit,
+    population_delta,
+    population_min_cf,
+    small_lambda,
+    statistic_direct,
+)
 
 ALL_FAMILIES = list(Family)
 GAMMAS = (0.5, 1.0, 5.0)
@@ -308,7 +309,6 @@ class TestStatistic:
     def test_zero_distance_integrand(self):
         # If the empirical curve equals psi0 the weighted distance is zero.
         from mincf.families import null_min_cf
-        from mincf.reference import integrate
         for family in ALL_FAMILIES:
             r = integrate(
                 lambda t: (null_min_cf(family, t) - null_min_cf(family, t)) ** 2
@@ -328,22 +328,6 @@ class TestStatistic:
                     for i in range(12)
                 ])
                 assert np.max(np.abs(fast - ref)) < 1e-13 * max(1.0, np.max(ref))
-
-    def test_single_lambda_route(self):
-        # No production path may evaluate lam through the per-value quadrature
-        # or any other reference route: in a fresh interpreter, statistic()
-        # for every family leaves mincf.reference unloaded.
-        script = (
-            "import sys, numpy as np\n"
-            "from mincf import Family, ParamPair, mle, sample_null, standardize, statistic\n"
-            "rng = np.random.default_rng(106)\n"
-            "for family in Family:\n"
-            "    x = sample_null(family, ParamPair(1.0, 1.0), 20, rng)\n"
-            "    for gamma in (0.5, 1.0, 5.0):\n"
-            "        assert np.isfinite(statistic(family, standardize(x, mle(family, x)), gamma).value)\n"
-            "print('mincf.reference' in sys.modules)\n"
-        )
-        assert run_python(script) == "False"
 
     def test_rejects_non_finite_values(self):
         # This Pareto fit overflows to Y = inf; it must fail on the input
