@@ -24,7 +24,7 @@ from .families import (
     sample_alternative,
     sample_null,
 )
-from .estimation import Estimate, StandardizedSample, mle, standardize
+from .estimation import Estimate, mle, standardize
 from .special import EULER_GAMMA, bessel_k, exp_integral_e1
 from .stat import StatisticBreakdown, l_constant, lambda_table, statistic
 from .simulation import (

@@ -66,7 +66,11 @@ def read_data_file(path: str) -> np.ndarray:
     except OSError as exc:
         raise ConfigError(f"cannot open {path}: {exc}")
     with fh:
-        for lineno, raw in enumerate(fh, 1):
+        try:
+            lines = list(fh)
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path} is not UTF-8 text: {exc}")
+        for lineno, raw in enumerate(lines, 1):
             line = raw.strip().rstrip(",").strip()
             if not line:
                 continue
@@ -206,8 +210,8 @@ def _cmd_power_study(args) -> int:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot open config {args.config}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{args.config} is not valid JSON: {exc}")
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise ConfigError(f"{args.config} is not valid UTF-8 JSON: {exc}")
     config = StudyConfig.from_dict(raw)
     cache = _resolve_cache(args)
 

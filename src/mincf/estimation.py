@@ -29,25 +29,13 @@ _MOMENT_CONST = 1.2825
 
 @dataclass(frozen=True)
 class Estimate:
-    """Fitted (c, phi) with solver diagnostics."""
+    """Fitted (c, phi) with solver diagnostics; :func:`mle` returns only
+    converged fits."""
 
     family: Family
     params: ParamPair
     iterations: int
-    converged: bool
     log_likelihood: float
-
-
-@dataclass(frozen=True)
-class StandardizedSample:
-    """Sample mapped through Y_j = (X_j/c)^phi, with the estimate that did it."""
-
-    values: np.ndarray
-    estimate: Estimate
-
-    @property
-    def n(self) -> int:
-        return self.values.size
 
 
 def _logsumexp(a, axis=None):
@@ -191,18 +179,14 @@ def mle(family: Family, sample) -> Estimate:
         family=family,
         params=ParamPair(c0, phi0),
         iterations=int(iterations[0]),
-        converged=True,
         log_likelihood=float(_log_likelihood(family, x, c0, phi0)),
     )
 
 
-def standardize(sample, estimate: Estimate) -> StandardizedSample:
-    """Map observations through Y_j = (X_j / c)^phi, preserving order.
+def standardize(sample, estimate: Estimate) -> np.ndarray:
+    """The 1-D array Y_j = (X_j / c)^phi of the observations, in their order.
 
     For the Pareto fit c equals the sample minimum, so min(Y) is exactly 1.
     """
-    if not estimate.converged:
-        raise DegenerateSampleError("cannot standardize with a non-converged estimate")
     x = np.asarray(sample, dtype=float).ravel()
-    y = (x / estimate.params.c) ** estimate.params.phi
-    return StandardizedSample(values=y, estimate=estimate)
+    return (x / estimate.params.c) ** estimate.params.phi

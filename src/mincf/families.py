@@ -33,6 +33,8 @@ class Family(enum.Enum):
 
     @classmethod
     def parse(cls, text: str) -> "Family":
+        if not isinstance(text, str):
+            raise ConfigError(f"a family must be a name string, got {text!r}")
         try:
             return cls(text.strip().lower())
         except ValueError:
@@ -125,6 +127,8 @@ _ALT_NAMES = {
 }
 _TWO_PARAM = {"W", "P", "G", "F"}
 _ONE_PARAM = {"HN", "LFR", "CH"}
+#: The laws of a null family: W(shape, scale) is the member (c, phi) = (scale, shape).
+_NULL_LAWS = {"W": Family.WEIBULL, "P": Family.PARETO, "F": Family.FRECHET}
 
 _SPEC_RE = re.compile(
     r"""^\s*([A-Za-z]+)\s*\(\s*([^()]*?)\s*\)\s*(?:\+\s*([0-9.eE+-]+)\s*)?$"""
@@ -179,6 +183,8 @@ def parse_alternative(text: str) -> AlternativeSpec:
     Names are case-insensitive; ``G`` and ``Gamma`` both denote the gamma
     distribution.
     """
+    if not isinstance(text, str):
+        raise ConfigError(f"an alternative must be a spec string, got {text!r}")
     m = _SPEC_RE.match(text)
     if m is None:
         raise ConfigError(f"cannot parse alternative spec {text!r}")
@@ -198,14 +204,18 @@ def sample_alternative(spec: AlternativeSpec, size, rng: np.random.Generator) ->
     """Draw variates of the given size or shape from the alternative law,
     then apply the shift.
 
-    Laws with a closed-form inverse use one uniform per variate; the gamma
-    and the lognormal (exp of mu + sigma Z) use the generator's gamma and
-    normal routines, and the halfnormal uses Box-Muller.
+    Laws with a closed-form inverse use one uniform per variate, the W, P
+    and F laws through :func:`null_quantile`; the gamma and the lognormal
+    (exp of mu + sigma Z) use the generator's gamma and normal routines,
+    and the halfnormal uses Box-Muller.
     """
     _check_size(size)
     name = spec.name
 
-    if name == "G":
+    if name in _NULL_LAWS:
+        shape, scale = spec.params
+        x = null_quantile(_NULL_LAWS[name], ParamPair(c=scale, phi=shape), rng.random(size))
+    elif name == "G":
         shape, scale = spec.params
         x = rng.standard_gamma(shape, size) * scale
     elif name == "LN":
@@ -216,24 +226,13 @@ def sample_alternative(spec: AlternativeSpec, size, rng: np.random.Generator) ->
         u1, u2 = rng.random(size), rng.random(size)
         z = np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * np.pi * u2)
         x = theta * np.abs(z)
-    else:
-        u = rng.random(size)
-        if name == "W":
-            shape, scale = spec.params
-            x = scale * (-np.log1p(-u)) ** (1.0 / shape)
-        elif name == "P":
-            shape, scale = spec.params
-            x = scale * (1.0 - u) ** (-1.0 / shape)
-        elif name == "F":
-            shape, scale = spec.params
-            x = scale * (-np.log(np.maximum(u, 1e-300))) ** (-1.0 / shape)
-        elif name == "LFR":
-            theta = spec.params[0]
-            e = -np.log1p(-u)
-            x = 2.0 * e / (1.0 + np.sqrt(1.0 + 2.0 * theta * e))
-        elif name == "CH":
-            theta = spec.params[0]
-            x = np.log1p(-np.log1p(-u) / 2.0) ** (1.0 / theta)
-        else:  # pragma: no cover
-            raise ConfigError(f"unknown alternative {name!r}")
+    elif name == "LFR":
+        theta = spec.params[0]
+        e = -np.log1p(-rng.random(size))
+        x = 2.0 * e / (1.0 + np.sqrt(1.0 + 2.0 * theta * e))
+    elif name == "CH":
+        theta = spec.params[0]
+        x = np.log1p(-np.log1p(-rng.random(size)) / 2.0) ** (1.0 / theta)
+    else:  # pragma: no cover
+        raise ConfigError(f"unknown alternative {name!r}")
     return x + spec.shift

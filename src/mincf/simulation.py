@@ -31,7 +31,6 @@ from .estimation import fit_batch, mle, standardize
 from .families import (
     AlternativeSpec,
     Family,
-    ParamPair,
     STANDARD_PARAMS,
     parse_alternative,
     sample_alternative,
@@ -188,20 +187,20 @@ class StudyResult:
 # Replicate engine.
 # ---------------------------------------------------------------------------
 
-def _draw(sampler, shape, rng: np.random.Generator) -> np.ndarray:
-    if sampler[0] == "null":
-        _, family, params = sampler
-        return sample_null(family, params, shape, rng)
-    return sample_alternative(sampler[1], shape, rng)
+def _draw(family, alt, shape, rng: np.random.Generator) -> np.ndarray:
+    """Samples from the standard member of ``family``, or from ``alt`` if set."""
+    if alt is None:
+        return sample_null(family, STANDARD_PARAMS, shape, rng)
+    return sample_alternative(alt, shape, rng)
 
 
-def _simulate_chunk(family, n, gammas, seed, i0, i1, sampler):
+def _simulate_chunk(family, n, gammas, seed, i0, i1, alt):
     """Replicates [i0, i1) of chunk i0 // _CHUNK: (stats with one row per
     gamma, redraws, failed fits). The chunk's samples, redraws included,
-    come from its substream (seed, i0 // _CHUNK)."""
+    come from its substream (seed, i0 // _CHUNK), drawn by :func:`_draw`."""
     count = i1 - i0
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i0 // _CHUNK,)))
-    x = _draw(sampler, (count, n), rng)
+    x = _draw(family, alt, (count, n), rng)
 
     stats = np.empty((len(gammas), count))
     pending = np.arange(count)
@@ -219,7 +218,7 @@ def _simulate_chunk(family, n, gammas, seed, i0, i1, sampler):
             break
         redraws += pending.size
         failed[pending] = True
-        x[pending] = _draw(sampler, (pending.size, n), rng)
+        x[pending] = _draw(family, alt, (pending.size, n), rng)
     else:
         raise EngineError(
             f"replicates kept failing the MLE after {_MAX_ATTEMPTS} redraws "
@@ -232,20 +231,22 @@ def _run_passes(passes, workers):
     """Run simulation passes: an iterator over each one's (stats, redraws),
     or the exception it raised, in pass order.
 
-    A pass is (family, n, gammas, replicates, seed, sampler), and its stats
-    have one row per gamma. Number the chunks of all passes in order; chunk i
-    runs in process i % size, where size = min(workers, chunks). Process 0 is
-    the caller, and the others are helpers forked once, on the first step,
-    each computing its chunks in order and piping back their results. Round
+    A pass is (family, n, gammas, replicates, seed, alt), and its stats have
+    one row per gamma. ``alt`` is the alternative its replicates are drawn
+    from, or None for a null pass, which draws from the standard member.
+    Number the chunks of all passes in order; chunk i runs in process
+    i % size, where size = min(workers, chunks). Process 0 is the caller,
+    and the others are helpers forked once, on the first step, each
+    computing its chunks in order and piping back their results. Round
     by round the caller scores its own chunk, then reads the helpers' chunks
     of that round, so short passes run side by side and each pass comes out
     as soon as its chunks are in. Without ``os.fork`` every chunk runs here.
     """
     _count("workers", workers, 1)
     chunks = [
-        [(family, n, gammas, seed, i0, min(i0 + _CHUNK, big_n), sampler)
+        [(family, n, gammas, seed, i0, min(i0 + _CHUNK, big_n), alt)
          for i0 in range(0, big_n, _CHUNK)]
-        for family, n, gammas, big_n, seed, sampler in passes
+        for family, n, gammas, big_n, seed, alt in passes
     ]
     size = min(workers, sum(map(len, chunks))) if hasattr(os, "fork") else 1
     return _rounds(passes, chunks, size)
@@ -349,7 +350,7 @@ def _check_replicates(replicates) -> None:
         raise DomainError("need at least 100 replicates")
 
 
-def _null_plan(family, n, gammas, replicates, seed, params, cache):
+def _null_plan(family, n, gammas, replicates, seed, cache):
     """The nulls the cache holds, by gamma (None on a miss), and the pass that
     simulates the misses, or None if there are none."""
     if n < 3:
@@ -360,7 +361,7 @@ def _null_plan(family, n, gammas, replicates, seed, params, cache):
     missing = tuple(g for g, null in nulls.items() if null is None)
     if not missing:
         return nulls, None
-    return nulls, (family, n, missing, replicates, seed, ("null", family, params))
+    return nulls, (family, n, missing, replicates, seed, None)
 
 
 def _fill_nulls(nulls, null_pass, outcome, cache):
@@ -400,24 +401,22 @@ def build_nulls(
     replicates: int,
     seed: int,
     *,
-    params: ParamPair = STANDARD_PARAMS,
     workers: int = 1,
     cache: "NullCache | None" = None,
 ) -> tuple[NullDistribution, ...]:
     """Simulate the null distribution of the statistic for (family, n) at each gamma.
 
-    Every replicate draws a fresh sample from the family member given by
-    ``params`` (the standard member by default; exact invariance makes the
-    law identical for any choice), refits the MLE, standardizes and computes
-    the statistic at every gamma the cache does not already hold. Replicates
-    whose MLE degenerates are redrawn from their chunk's substream (chunk k
-    of 512 replicates draws from substream (seed, k)) and counted in
-    ``redraws``. Each null equals what a separate call for its
-    gamma at the same seed gives, bit for bit, and is cached under its own key.
+    Every replicate draws a fresh sample from the standard member
+    (c = phi = 1; exact invariance makes the law the same for every member),
+    refits the MLE, standardizes and computes the statistic at every gamma
+    the cache does not already hold. Replicates whose MLE degenerates are
+    redrawn from their chunk's substream (chunk k of 512 replicates draws
+    from substream (seed, k)) and counted in ``redraws``. Each null equals
+    what a separate call for its gamma at the same seed gives, bit for bit,
+    and is cached under its own key.
     """
     gammas = tuple(float(g) for g in gammas)
-    cache = cache if params == STANDARD_PARAMS else None
-    nulls, null_pass = _null_plan(family, n, gammas, replicates, seed, params, cache)
+    nulls, null_pass = _null_plan(family, n, gammas, replicates, seed, cache)
     # Called even when the cache holds every gamma, so workers is checked.
     for outcome in _run_passes([null_pass] if null_pass else [], workers):
         _fill_nulls(nulls, null_pass, outcome, cache)
@@ -431,12 +430,11 @@ def build_null(
     replicates: int,
     seed: int,
     *,
-    params: ParamPair = STANDARD_PARAMS,
     workers: int = 1,
     cache: "NullCache | None" = None,
 ) -> NullDistribution:
     """The null distribution for one gamma; see :func:`build_nulls`."""
-    return build_nulls(family, n, (gamma,), replicates, seed, params=params,
+    return build_nulls(family, n, (gamma,), replicates, seed,
                        workers=workers, cache=cache)[0]
 
 
@@ -475,9 +473,7 @@ def power(
         raise ConfigError("null distribution does not match (family, n, gamma)")
     _check_replicates(replicates)
     _count("seed", seed, 0)
-    (outcome,) = _run_passes(
-        [(family, n, (null.gamma,), replicates, seed, ("alt", alt))], workers
-    )
+    (outcome,) = _run_passes([(family, n, (null.gamma,), replicates, seed, alt)], workers)
     return _rates(alt, alpha, replicates, (null,), outcome)[0]
 
 
@@ -536,14 +532,13 @@ def run_study(
     for fi, family in enumerate(config.families):
         for ni, n in enumerate(config.sample_sizes):
             nulls, null_pass = _null_plan(
-                family, n, config.gammas, n_crit, derive_seed(config.seed, (0, fi, ni)),
-                STANDARD_PARAMS, cache,
+                family, n, config.gammas, n_crit, derive_seed(config.seed, (0, fi, ni)), cache,
             )
             groups.append((f"{family.value} n={n}", nulls, null_pass))
             passes += [null_pass] if null_pass else []
             passes += [
                 (family, n, config.gammas, config.replicates,
-                 derive_seed(config.seed, (1, fi, ni, ai)), ("alt", alt))
+                 derive_seed(config.seed, (1, fi, ni, ai)), alt)
                 for ai, alt in enumerate(config.alternatives)
             ]
     results: list[PowerResult] = []

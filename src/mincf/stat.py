@@ -35,7 +35,6 @@ from numpy.polynomial import chebyshev as _cheb
 from numpy.polynomial import polynomial as _poly
 
 from .errors import DomainError
-from .estimation import StandardizedSample
 from .families import Family, null_min_cf
 from .special import EULER_GAMMA, bessel_k, exp_integral_e1, gammainc23, gammaincc23
 
@@ -441,15 +440,15 @@ def lambda_table(family: Family, gamma: float) -> LambdaTable:
 # Statistic assembly.
 # ---------------------------------------------------------------------------
 
-def statistic(family: Family, standardized: StandardizedSample, gamma: float) -> StatisticBreakdown:
-    """Assemble the test statistic from a standardized sample.
+def statistic(family: Family, y, gamma: float) -> StatisticBreakdown:
+    """Assemble the test statistic from the 1-D array ``y`` of standardized values.
 
     Same terms as :func:`batch_statistics`: the double sum from
     :func:`_kernel_sum`, lam from :func:`lambda_table` and L from
     :func:`l_constant`.
     """
     g = _check_gamma(gamma)
-    y = np.asarray(standardized.values, dtype=float)
+    y = np.asarray(y, dtype=float)
     n = y.size
     if n < 3:
         raise DomainError("statistic needs n >= 3")

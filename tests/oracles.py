@@ -28,7 +28,6 @@ from scipy.optimize import brentq
 from scipy.special import erf, exp1, gammainc, ndtr
 
 from mincf.errors import ConfigError, ConvergenceError, DomainError
-from mincf.estimation import StandardizedSample
 from mincf.families import AlternativeSpec, Family, ParamPair
 from mincf.special import gammainc23
 from mincf.stat import _check_gamma, _lambda_closed, lambda_complete
@@ -354,14 +353,14 @@ def empirical_min_cf(sample, t):
 _DIRECT_QUAD = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-16, max_subdivisions=600)
 
 
-def statistic_direct(family: Family, standardized: StandardizedSample, gamma: float) -> float:
+def statistic_direct(family: Family, y, gamma: float) -> float:
     """n * int_0^inf (psi_n(t) - psi0(t))^2 e^(-gamma t) dt by quadrature.
 
     Direct evaluation of the defining distance; the empirical curve has a
     kink at each 1/Y_j, so the integration runs piecewise between kinks.
     """
     g = _check_gamma(gamma)
-    y = np.asarray(standardized.values, dtype=float)
+    y = np.asarray(y, dtype=float)
     n = y.size
     if not np.all(y > 0):
         raise DomainError("standardized values must be positive")

@@ -110,7 +110,7 @@ def test_criterion_2_exact_invariance():
             xt = a * x ** (1.0 / b)
             est = mle(family, xt)
             yt = standardize(xt, est)
-            refit = mle(family, yt.values)
+            refit = mle(family, yt)
             worst_refit = max(
                 worst_refit,
                 abs(refit.params.c - 1.0),

@@ -99,6 +99,13 @@ class TestTestCommand:
         assert code == EXIT_INPUT
         assert "line 2" in capsys.readouterr().err
 
+    def test_non_utf8_data_exits_2_naming_the_file(self, tmp_path, capsys):
+        path = tmp_path / "latin.txt"
+        path.write_bytes(b"1.0\n2.0\n\xff\n3.0\n")
+        code = main(["test", "--family", "weibull", "--data", str(path), "--no-cache"])
+        assert code == EXIT_INPUT
+        assert "latin.txt" in capsys.readouterr().err
+
     def test_constant_data_exits_3(self, tmp_path, capsys):
         path = tmp_path / "const.txt"
         path.write_text("2.0\n2.0\n2.0\n2.0\n")
@@ -292,6 +299,7 @@ class TestPowerStudyCommand:
         ("replicates", "500"), ("sample_sizes", ["x"]), ("seed", "x"), ("gammas", [-1]),
         ("gammas", ["nan"]), ("sample_sizes", [2]), ("crit_replicates", 50),
         ("gammas", 1.0), ("sample_sizes", 20),
+        ("families", [1]), ("alternatives", [2.5]), ("alternatives", [None]),
     ])
     def test_invalid_config_value_exits_2(self, tmp_path, capsys, field, value):
         config = {"families": ["weibull"], "alternatives": ["LN(1)"], "gammas": [1.0],
@@ -302,6 +310,12 @@ class TestPowerStudyCommand:
                      "--out-csv", str(tmp_path / "out.csv")])
         assert code == EXIT_INPUT
         assert not (tmp_path / "out.csv").exists()
+
+    def test_non_utf8_config_exits_2_naming_it(self, tmp_path, capsys):
+        cfg_path = tmp_path / "study.json"
+        cfg_path.write_bytes(b'{"families": ["weibull\xff"], "alternatives": ["LN(1)"]}')
+        assert main(["power-study", "--config", str(cfg_path), "--no-cache"]) == EXIT_INPUT
+        assert "study.json" in capsys.readouterr().err
 
     def test_config_not_an_object_exits_2(self, tmp_path):
         cfg_path = tmp_path / "study.json"

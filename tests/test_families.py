@@ -191,6 +191,22 @@ class TestAlternatives:
         ks = stats.kstest(x, lambda q: alternative_cdf(spec, q)).statistic
         assert ks < 0.003
 
+    @pytest.mark.parametrize("name, family, inverse", [
+        ("W", Family.WEIBULL, lambda u, shape, scale: scale * (-np.log1p(-u)) ** (1.0 / shape)),
+        ("P", Family.PARETO, lambda u, shape, scale: scale * (1.0 - u) ** (-1.0 / shape)),
+        ("F", Family.FRECHET,
+         lambda u, shape, scale: scale * (-np.log(np.maximum(u, 1e-300))) ** (-1.0 / shape)),
+    ])
+    def test_null_law_alternative_is_the_member_scale_shape(self, name, family, inverse):
+        # name(shape, scale) is the family member (c, phi) = (scale, shape),
+        # drawn bit for bit by the law's inverse on one uniform per variate.
+        spec = parse_alternative(f"{name}(2.5,0.7)+1")
+        x = sample_alternative(spec, (4, 30), np.random.default_rng(23))
+        u = np.random.default_rng(23).random((4, 30))
+        assert np.array_equal(x, inverse(u, 2.5, 0.7) + 1.0)
+        member = sample_null(family, ParamPair(c=0.7, phi=2.5), (4, 30), np.random.default_rng(23))
+        assert np.array_equal(x, member + 1.0)
+
     @pytest.mark.parametrize("text", [
         "W(1.5,1)+1", "P(2,1)", "G(3,1)", "LN(2.5)", "LN(0,1.2)", "HN(1)",
         "LFR(0.2)+1", "CH(0.8)+1", "F(2,1)",

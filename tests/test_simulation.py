@@ -105,14 +105,6 @@ class TestBuildNull:
         assert np.all(np.diff(null.sorted_stats) >= 0)
         assert np.all(null.sorted_stats > 0)
 
-    def test_parameter_freeness(self):
-        # Exact invariance: nulls built from any (c, phi) share one law.
-        a = build_null(Family.WEIBULL, 20, 1.0, 4000, seed=5)
-        b = build_null(Family.WEIBULL, 20, 1.0, 4000, seed=6,
-                       params=ParamPair(3.0, 0.5))
-        ks = sps.ks_2samp(a.sorted_stats, b.sorted_stats).statistic
-        assert ks < 0.04  # 4000-replicate desk version of the 20000-rep check
-
     def test_transform_invariance_replicatewise(self):
         # Statistics from X and from 3.1 * X^(1/2.2) agree replicate by
         # replicate, which is the exact form of parameter-freeness.
@@ -243,16 +235,15 @@ class TestChunkStreams:
 
     @pytest.mark.parametrize("family", list(Family))
     def test_chunk_equals_hand_reproduction(self, family):
-        null = ("null", family, STANDARD_PARAMS)
-        alt = parse_alternative("LN(1)")
+        ln = parse_alternative("LN(1)")
         cases = [
-            (null, lambda shape, rng: sample_null(family, STANDARD_PARAMS, shape, rng)),
-            (("alt", alt), lambda shape, rng: sample_alternative(alt, shape, rng)),
+            (None, lambda shape, rng: sample_null(family, STANDARD_PARAMS, shape, rng)),
+            (ln, lambda shape, rng: sample_alternative(ln, shape, rng)),
         ]
-        for sampler, draw in cases:
+        for alt, draw in cases:
             for k, i0, i1 in [(0, 0, 512), (2, 1024, 1100)]:  # a full and a last chunk
                 stats, redraws, failed = simulation._simulate_chunk(
-                    family, 20, GAMMAS, 13, i0, i1, sampler)
+                    family, 20, GAMMAS, 13, i0, i1, alt)
                 assert (redraws, failed) == (0, 0)
                 assert np.array_equal(stats, self.by_hand(family, 20, 13, k, i1 - i0, draw))
 
@@ -320,16 +311,14 @@ class TestHelpers:
             return real(*chunk)
 
         self.in_helpers_only(monkeypatch, "_simulate_chunk", fail_seed_1)
-        passes = [(Family.WEIBULL, 10, GAMMAS, 1024, seed, ("null", Family.WEIBULL, STANDARD_PARAMS))
-                  for seed in (1, 2)]
+        passes = [(Family.WEIBULL, 10, GAMMAS, 1024, seed, None) for seed in (1, 2)]
         bad, good = simulation._run_passes(passes, 2)
         assert isinstance(bad, EngineError) and "IntegrationError" in str(bad)
         (alone,) = simulation._run_passes(passes[1:], 1)
         assert np.array_equal(good[0], alone[0]) and good[1] == alone[1]
 
     def test_closed_early_leaves_no_helper(self, helper_forks):
-        passes = [(Family.PARETO, 10, (1.0,), 1024, seed, ("null", Family.PARETO, STANDARD_PARAMS))
-                  for seed in (1, 2, 3)]
+        passes = [(Family.PARETO, 10, (1.0,), 1024, seed, None) for seed in (1, 2, 3)]
         outcomes = simulation._run_passes(passes, 3)
         next(outcomes)
         outcomes.close()
@@ -581,12 +570,6 @@ class TestCache:
         assert cache.load(Family.WEIBULL, 8, 1.0, 300, 2) is None
         cache.save(null)
         assert cache.load(Family.WEIBULL, 8, 1.0, 300, 2) is not None
-
-    def test_nonstandard_params_not_cached(self, tmp_path):
-        cache = NullCache(tmp_path)
-        build_null(Family.WEIBULL, 8, 1.0, 300, seed=2,
-                   params=ParamPair(3.0, 0.5), cache=cache)
-        assert cache.load(Family.WEIBULL, 8, 1.0, 300, 2) is None
 
 
 class TestTestSample:

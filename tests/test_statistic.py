@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mincf.errors import DomainError
-from mincf.estimation import StandardizedSample, mle, standardize
+from mincf.estimation import mle, standardize
 from mincf.families import Family, ParamPair, parse_alternative, sample_alternative, sample_null
 from mincf.stat import (
     _kernel_sum,
@@ -120,7 +120,7 @@ class TestKernelSum:
             raw = [sample_null(family, ParamPair(1.0, 1.0), n, rng)]
             raw += [sample_alternative(parse_alternative(a), n, rng) for a in self.ALTERNATIVES]
             raw.append(np.repeat(raw[0][: n // 2 + 1], 2)[:n])  # every value tied
-            y = np.stack([standardize(x, mle(family, x)).values for x in raw])
+            y = np.stack([standardize(x, mle(family, x)) for x in raw])
             for g in (0.2, 0.5, 1.0, 5.0, 8.0, 30.0):
                 ref = kernel_lambda(g, y[:, :, None], y[:, None, :]).sum((1, 2))
                 got = _kernel_sum(g, y)
@@ -133,7 +133,7 @@ class TestKernelSum:
     def test_large_row_memory_is_linear(self, family):
         # The n x n pair grid of this row would take about 80 GB.
         x = sample_null(family, ParamPair(1.0, 1.0), 100_000, np.random.default_rng(109))
-        y = standardize(x, mle(family, x)).values[None, :]
+        y = standardize(x, mle(family, x))[None, :]
         tracemalloc.start()
         try:
             value = batch_statistics(family, 1.0, y)
@@ -294,7 +294,7 @@ class TestStatistic:
     def test_equal_values_identity(self):
         # With all standardized values equal to 1 the statistic collapses to
         # n * (K(1,1) + L - 2 lam(1)).
-        y = StandardizedSample(values=np.ones(3), estimate=None)
+        y = np.ones(3)
         for family in ALL_FAMILIES:
             got = statistic(family, y, 1.0).value
             expected = 3.0 * (
@@ -320,13 +320,10 @@ class TestStatistic:
     def test_batch_matches_reference(self):
         rng = np.random.default_rng(105)
         for family in ALL_FAMILIES:
-            rows = np.stack([_standardized(family, 15, rng).values for _ in range(12)])
+            rows = np.stack([_standardized(family, 15, rng) for _ in range(12)])
             for g in GAMMAS:
                 fast = batch_statistics(family, g, rows)
-                ref = np.array([
-                    statistic(family, StandardizedSample(rows[i], None), g).value
-                    for i in range(12)
-                ])
+                ref = np.array([statistic(family, row, g).value for row in rows])
                 assert np.max(np.abs(fast - ref)) < 1e-13 * max(1.0, np.max(ref))
 
     def test_rejects_non_finite_values(self):
@@ -335,16 +332,15 @@ class TestStatistic:
         x = np.array([1e-300, 1e-200, 1.0, 2.0, 3.0, 1e300])
         with np.errstate(over="ignore"):
             y = standardize(x, mle(Family.PARETO, x))
-        assert np.isinf(y.values).any()
+        assert np.isinf(y).any()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="finite"):
                 statistic(Family.PARETO, y, 1.0)
 
     def test_requires_minimum_size(self):
-        y = StandardizedSample(values=np.array([1.0, 2.0]), estimate=None)
         with pytest.raises(DomainError):
-            statistic(Family.WEIBULL, y, 1.0)
+            statistic(Family.WEIBULL, np.array([1.0, 2.0]), 1.0)
 
 
 class TestEmpiricalMinCF:
