@@ -24,6 +24,7 @@ from .errors import (
     EngineError,
 )
 from .families import Family, parse_alternative
+from .stat import GAMMA_MAX, GAMMA_MIN
 from .simulation import (
     STATISTIC_CODE_VERSION,
     NullCache,
@@ -282,11 +283,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="disable the null-distribution cache")
         p.add_argument("--out", help="write a JSON report to this path")
 
+    gamma_help = (f"comma-separated weight parameters, each in [{GAMMA_MIN:g}, {GAMMA_MAX:g}]"
+                  " (default 0.5,1,5)")
+
     p_test = sub.add_parser("test", help="test a dataset against a family")
     p_test.add_argument("--family", required=True, help="weibull | pareto | frechet")
     p_test.add_argument("--data", required=True, help="data file (one value per line)")
-    p_test.add_argument("--gamma", default="0.5,1,5",
-                        help="comma-separated weight parameters (default 0.5,1,5)")
+    p_test.add_argument("--gamma", default="0.5,1,5", help=gamma_help)
     p_test.add_argument("--replicates", type=int, default=10000,
                         help="Monte Carlo null replicates (default 10000)")
     common(p_test)
@@ -295,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cv = sub.add_parser("critvals", help="tabulate Monte Carlo critical values")
     p_cv.add_argument("--family", required=True)
     p_cv.add_argument("--n", default="20,50", help="comma-separated sample sizes")
-    p_cv.add_argument("--gamma", default="0.5,1,5")
+    p_cv.add_argument("--gamma", default="0.5,1,5", help=gamma_help)
     p_cv.add_argument("--alpha", default="0.10,0.05,0.01")
     p_cv.add_argument("--replicates", type=int, default=20000)
     common(p_cv)

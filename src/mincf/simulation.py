@@ -16,7 +16,6 @@ run side by side. No step loads scipy.
 """
 from __future__ import annotations
 
-import math
 import numbers
 import os
 import pickle
@@ -36,10 +35,10 @@ from .families import (
     sample_alternative,
     sample_null,
 )
-from .stat import batch_statistics, l_constant, lambda_table, statistic
+from .stat import GAMMA_MAX, GAMMA_MIN, batch_statistics, l_constant, lambda_table, statistic
 
 #: Bump when the statistic implementation changes; cached nulls are keyed on it.
-STATISTIC_CODE_VERSION = "7"
+STATISTIC_CODE_VERSION = "8"
 
 #: Replicates per work unit and per random substream. Fixed so that the chunk
 #: layout (and therefore every draw and floating-point reduction) is
@@ -102,10 +101,13 @@ def _count(name: str, value, low: int) -> int:
     return int(value)
 
 
-def _number(name: str, value, low: float, high: float) -> float:
-    """A config number in the open interval (low, high); NaN and strings are not."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not low < value < high:
-        raise ConfigError(f"{name} must be a number in ({low:g}, {high:g}), got {value!r}")
+def _number(name: str, value, low: float, high: float, closed: bool = False) -> float:
+    """A config number in the open interval (low, high), or in [low, high] if
+    ``closed``; NaN and strings are not."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (low <= value <= high if closed else low < value < high)):
+        span = f"[{low:g}, {high:g}]" if closed else f"({low:g}, {high:g})"
+        raise ConfigError(f"{name} must be a number in {span}, got {value!r}")
     return float(value)
 
 
@@ -125,9 +127,9 @@ class StudyConfig:
     def __post_init__(self):
         object.__setattr__(self, "families", tuple(self.families))
         object.__setattr__(self, "alternatives", tuple(self.alternatives))
-        object.__setattr__(
-            self, "gammas", tuple(_number("gamma", g, 0.0, math.inf) for g in self.gammas)
-        )
+        object.__setattr__(self, "gammas", tuple(
+            _number("gamma", g, GAMMA_MIN, GAMMA_MAX, closed=True) for g in self.gammas
+        ))
         object.__setattr__(
             self, "sample_sizes", tuple(_count("sample size", n, 3) for n in self.sample_sizes)
         )
@@ -237,10 +239,11 @@ def _run_passes(passes, workers):
     Number the chunks of all passes in order; chunk i runs in process
     i % size, where size = min(workers, chunks). Process 0 is the caller,
     and the others are helpers forked once, on the first step, each
-    computing its chunks in order and piping back their results. Round
-    by round the caller scores its own chunk, then reads the helpers' chunks
-    of that round, so short passes run side by side and each pass comes out
-    as soon as its chunks are in. Without ``os.fork`` every chunk runs here.
+    computing its chunks in order and piping back their results. The caller
+    takes the chunks in order, scoring its own and reading the helpers'
+    from their pipes, so short passes run side by side and each pass comes
+    out as soon as its last chunk is in. Without ``os.fork`` every chunk
+    runs here.
     """
     _count("workers", workers, 1)
     chunks = [
@@ -249,10 +252,10 @@ def _run_passes(passes, workers):
         for family, n, gammas, big_n, seed, alt in passes
     ]
     size = min(workers, sum(map(len, chunks))) if hasattr(os, "fork") else 1
-    return _rounds(passes, chunks, size)
+    return _chunk_stream(passes, chunks, size)
 
 
-def _rounds(passes, chunks, size):
+def _chunk_stream(passes, chunks, size):
     """The generator behind :func:`_run_passes`."""
     flat = [c for cs in chunks for c in cs]
     helpers = []  # (pid, pipe reader) of processes 1 .. size - 1
@@ -261,16 +264,11 @@ def _rounds(passes, chunks, size):
             _warm(passes)
             for j in range(1, size):
                 helpers.append(_fork(flat[j::size]))
-        results, done, start = {}, 0, 0
+        # Chunk i, in order, from process i % size.
+        results = (_attempt(c) if i % size == 0 else _receive(helpers[i % size - 1][1])
+                   for i, c in enumerate(flat))
         for p, cs in zip(passes, chunks):
-            end = start + len(cs)
-            while done < end:  # one round: the caller's chunk, then the helpers'
-                results[done] = _attempt(flat[done])
-                for i, (_, reader) in enumerate(helpers[:len(flat) - done - 1], done + 1):
-                    results[i] = _receive(reader)
-                done += size
-            yield _join(p, [results.pop(i) for i in range(start, end)])
-            start = end
+            yield _join(p, [next(results) for _ in cs])
     finally:  # also when the consumer stops early or is interrupted
         for pid, reader in helpers:
             reader.close()

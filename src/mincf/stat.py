@@ -13,11 +13,15 @@ lam has one production route, the cached vectorized :func:`lambda_table`,
 serving the observed :func:`statistic` and the engine's :func:`batch_statistics`:
 
 * Pareto and Frechet - closed forms through E1 and regularized incomplete
-  gammas, with power series where those forms cancel.
+  gammas. Where those forms cancel (small 1/z), both integrate power series
+  term by term through one Horner helper, :func:`_series_moment`.
 * Weibull - int t^2 e^(-1/t - gamma t) dt has no elementary form, so
   piecewise-Chebyshev panels are fitted once per gamma to a composite
   Gauss-Legendre rule, with the exact linear asymptote below the panels
   and an analytic tail above them.
+
+Every public function takes gamma in [GAMMA_MIN, GAMMA_MAX] = [0.001, 1000], the
+range the tests check against mpmath, and raises DomainError outside it.
 
 E1, K_nu and the incomplete gammas come from :mod:`mincf.special` in numpy,
 so the production route loads no scipy. The quadrature oracles the tests
@@ -36,7 +40,7 @@ from numpy.polynomial import polynomial as _poly
 
 from .errors import DomainError
 from .families import Family, null_min_cf
-from .special import EULER_GAMMA, bessel_k, exp_integral_e1, gammainc23, gammaincc23
+from .special import _E1_SERIES, EULER_GAMMA, bessel_k, exp_integral_e1, gammainc23, gammaincc23
 
 
 @functools.cache
@@ -63,10 +67,15 @@ def _geometric_edges(top):
     return np.concatenate(([0.0], 4.0 ** np.arange(-12, top + 1)))
 
 
+#: The weights gamma the statistic is checked for against mpmath; outside them
+#: the 1/gamma^3 terms of L cancel (small gamma) or K_nu underflows (large).
+GAMMA_MIN, GAMMA_MAX = 1e-3, 1e3
+
+
 def _check_gamma(gamma) -> float:
     g = float(gamma)
-    if not (g > 0 and np.isfinite(g)):
-        raise DomainError(f"weight parameter gamma must be positive, got {gamma!r}")
+    if not GAMMA_MIN <= g <= GAMMA_MAX:
+        raise DomainError(f"gamma must lie in [{GAMMA_MIN:g}, {GAMMA_MAX:g}], got {gamma!r}")
     return g
 
 
@@ -161,11 +170,6 @@ def l_constant(family: Family, gamma: float) -> float:
 # lam(z): one route per family.
 # ---------------------------------------------------------------------------
 
-#: Terms of the power series used where a closed form cancels (g*a <= 2).
-_SERIES_TERMS = 30
-_FACTORIALS = np.array([float(math.factorial(k)) for k in range(_SERIES_TERMS)])
-
-
 def _lambda_closed(family: Family, g: float, z: np.ndarray) -> np.ndarray:
     """lam over an array of z > 0 for the families with a closed form."""
     if family is Family.PARETO:
@@ -188,8 +192,8 @@ def _frechet_lambda(g, z):
     Integrating by parts against E1'(t) = -e^(-t)/t writes I_k and the tail
     through E1 and regularized incomplete gammas. That form cancels for
     small a, so for a <= min(0.5, 2/g) the series
-    e^(-g t) E1(t) = e^(-g t) (Ein(t) - EULER_GAMMA - log t), which converges
-    fast there, is integrated term by term instead.
+    e^(-g t) E1(t) = e^(-g t) (Ein(t) - EULER_GAMMA) - e^(-g t) log t, which
+    converges fast there, is integrated term by term instead.
     """
     a = 1.0 / z
     out = _frechet_lambda_closed(g, z)
@@ -198,8 +202,10 @@ def _frechet_lambda(g, z):
     if np.any(series):
         m1 = (math.log1p(g) - r) / g ** 2
         a_s = a[series]
-        out[series] += (z[series] * _frechet_moment_series(g, a_s, 2)
-                        + m1 - _frechet_moment_series(g, a_s, 1))
+        e = _exp_series(g)
+        b = np.convolve(_E1_SERIES, e)[:e.size] - EULER_GAMMA * e
+        out[series] += (z[series] * _series_moment(a_s, 2, b, -e)
+                        + m1 - _series_moment(a_s, 1, b, -e))
     big = ~series
     if np.any(big):
         a_b = a[big]
@@ -214,18 +220,6 @@ def _frechet_lambda(g, z):
         tail1 = (q2 * e1a - e1b - r * q) / g ** 2
         out[big] += z[big] * i2 + tail1
     return out
-
-
-def _frechet_moment_series(g, a, k):
-    """I_k(a) = int_0^a t^k e^(-g t) E1(t) dt by series (a <= 0.5, g*a <= 2)."""
-    j = np.arange(_SERIES_TERMS)
-    # Taylor coefficients of Ein(t) - EULER_GAMMA, Ein(t) = sum (-1)^(j+1) t^j/(j j!).
-    ein = np.empty(_SERIES_TERMS)
-    ein[0] = -EULER_GAMMA
-    ein[1:] = (-1.0) ** (j[1:] + 1) / (j[1:] * _FACTORIALS[1:])
-    prod = np.convolve(ein, (-g) ** j / _FACTORIALS)[:_SERIES_TERMS]
-    power_part = a ** (k + 1.0) * _poly.polyval(a, prod / (k + 1.0 + j))
-    return power_part - _poly_log_moment(g, a, k)
 
 
 def _frechet_lambda_closed(g, z):
@@ -245,64 +239,56 @@ def _pareto_lambda_low(g, z):
 
 
 def _pareto_lambda_high(g, z):
-    """Pareto branch for z > 1 (closed form through the log-moment integrals)."""
+    """Pareto branch for z > 1, through the log moments L_p(a) = int_0^a t^p log t e^(-g t) dt.
+
+    With a = 1/z, lam = t1 + t2 - e^(-g)/g^2 - z L_2(a) - (L_1(1) - L_1(a)). L_1 and
+    L_2 are closed forms through E1(g a), e^(-g a) and log a, which cancel for
+    small a, so for a <= min(0.25, 1/g) the exponential series is integrated
+    term by term instead.
+    """
     a = 1.0 / z
-    u = g / z
-    eu = np.exp(-u)
-    t1 = (-2.0 * z * np.expm1(-u) - eu * (2.0 * g + g * g / z)) / g ** 3
-    t2 = eu * (g + z) / (g * g * z)
-    # Both log moments take the series where a is small and otherwise share
-    # E1(g a), e^(-g a) and log a; E1 is the dearest call of the lambda layer.
+    l1_full = (1.0 - EULER_GAMMA - math.log(g) - math.exp(-g) - exp_integral_e1(g)) / g ** 2
+    l1, l2 = np.empty_like(a), np.empty_like(a)
     small = a <= min(0.25, 1.0 / g)
+    if np.any(small):
+        e = _exp_series(g)
+        l1[small] = _series_moment(a[small], 1, 0.0, e)
+        l2[small] = _series_moment(a[small], 2, 0.0, e)
     ab = a[~small]
     ga = g * ab
-    big = (ga, np.exp(-ga), np.log(ab), exp_integral_e1(ga))
-    return (t1 + t2 - math.exp(-g) / g ** 2
-            - z * _pareto_m1(g, a, small, big) - _pareto_m2(g, a, small, big))
-
-
-# Closed forms of the Pareto log-moment integrals via E1, plus series
-# replacements near zero where the closed forms lose precision. ``big`` holds
-# (g a, e^(-g a), log a, E1(g a)) on the a outside ``small``.
-
-def _pareto_m1(g, a, small, big):
-    """int_0^a t^2 log t e^(-g t) dt, vectorized over a in (0, 1]."""
-    out = np.empty_like(a)
-    if np.any(small):
-        out[small] = _poly_log_moment(g, a[small], 2)
-    ga, ega, la, e1 = big
-    out[~small] = (
+    ega, la, e1 = np.exp(-ga), np.log(ab), exp_integral_e1(ga)
+    l1[~small] = (-ega * (ga + 1.0) * la - ega - e1) / g ** 2 - (
+        -(1.0 - EULER_GAMMA - math.log(g)) / g ** 2
+    )
+    l2[~small] = (
         -ega * (ga * ga + 2.0 * ga + 2.0) * la
         - (ega * (ga + 3.0) + 2.0 * e1)
         + (3.0 - 2.0 * math.log(g) - 2.0 * EULER_GAMMA)
     ) / g ** 3
-    return out
+    # Built after the moments, so fewer (B, n) temporaries are alive at once.
+    u = g / z
+    eu = np.exp(-u)
+    t1 = (-2.0 * z * np.expm1(-u) - eu * (2.0 * g + g * g / z)) / g ** 3
+    t2 = eu * (g + z) / (g * g * z)
+    return t1 + t2 - math.exp(-g) / g ** 2 - z * l2 - (l1_full - l1)
 
 
-def _pareto_m2(g, a, small, big):
-    """int_a^1 t log t e^(-g t) dt, vectorized over a in (0, 1]."""
-    full = (1.0 - EULER_GAMMA - math.log(g) - math.exp(-g) - exp_integral_e1(g)) / g ** 2
-    out = np.empty_like(a)
-    if np.any(small):
-        out[small] = full - _poly_log_moment(g, a[small], 1)
-    ga, ega, la, e1 = big
-    head = (-ega * (ga + 1.0) * la - ega - e1) / g ** 2 - (
-        -(1.0 - EULER_GAMMA - math.log(g)) / g ** 2
+def _exp_series(g):
+    """Taylor coefficients (-g)^k/k! of e^(-g t), as many as special._E1_SERIES has."""
+    k = np.arange(len(_E1_SERIES), dtype=float)
+    return (-g) ** k / np.cumprod(np.maximum(k, 1.0))
+
+
+def _series_moment(a, p, b, c):
+    """int_0^a t^p (B(t) + C(t) log t) dt for power series B, C with coefficients b, c.
+
+    Term by term, with q_k = p + k + 1, this is
+    a^(p+1) [sum (b_k/q_k - c_k/q_k^2) a^k + log a sum (c_k/q_k) a^k]: two Horner sums.
+    """
+    q = p + 1.0 + np.arange(len(c))
+    return a ** (p + 1.0) * (
+        _poly.polyval(a, b / q - c / q ** 2) + np.log(a) * _poly.polyval(a, c / q)
     )
-    out[~small] = full - head
-    return out
-
-
-def _poly_log_moment(g, a, p):
-    """int_0^a t^p log t e^(-g t) dt by the exponential series (g*a <= 2)."""
-    la = np.log(a)
-    acc = np.zeros_like(a)
-    coef = np.ones_like(a)
-    for k in range(_SERIES_TERMS):
-        q = p + k + 1.0
-        acc += coef * (la / q - 1.0 / (q * q))
-        coef *= -g * a / (k + 1.0)
-    return a ** (p + 1.0) * acc
 
 
 # ---------------------------------------------------------------------------
@@ -424,10 +410,9 @@ def lambda_table(family: Family, gamma: float) -> LambdaTable:
         err = np.max(np.abs(_cheb.chebval(_CHEB_TEST, coef) - f(mid + half * _CHEB_TEST)))
         if err <= tol or (b - a) < 1e-3:
             panels.append((a, b, coef))
-        else:
+        else:  # the left half is popped first, so the panels come out in order
             stack.append((mid, b))
             stack.append((a, mid))
-    panels.sort(key=lambda p: p[0])
     edges = np.array([p[0] for p in panels] + [panels[-1][1]])
     coeffs = np.array([p[2] for p in panels])
     return LambdaTable(

@@ -112,6 +112,13 @@ class TestTestCommand:
         code = main(["test", "--family", "weibull", "--data", str(path), "--no-cache"])
         assert code == EXIT_NUMERIC
 
+    @pytest.mark.parametrize("family", ["weibull", "pareto", "frechet"])
+    def test_gamma_outside_checked_range_exits_2(self, exp_data, capsys, family):
+        code = main(["test", "--family", family, "--data", exp_data, "--gamma", "1,2000",
+                     "--replicates", "200", "--workers", "1", "--no-cache"])
+        assert code == EXIT_INPUT
+        assert "[0.001, 1000]" in capsys.readouterr().err
+
     def test_unknown_family_exits_2(self, exp_data):
         assert main(["test", "--family", "normal", "--data", exp_data,
                      "--no-cache"]) == EXIT_INPUT
@@ -192,6 +199,22 @@ class TestCritvalsCommand:
                      "--workers", "1", "--no-cache"])
         assert code == EXIT_INPUT
         assert "not a comma-separated list of integers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family", ["weibull", "pareto", "frechet"])
+    @pytest.mark.parametrize("gamma", ["1e-320", "1e-4", "1e5", "1e308"])
+    def test_gamma_outside_checked_range_exits_2(self, capsys, family, gamma):
+        # Unchecked, L divides by zero (1e-320) or overflows (1e308), K_nu
+        # underflows (1e5, Weibull), and at 1e-4 the 1/gamma^3 terms of
+        # Pareto's L cancel into negative critical values.
+        code = main(["critvals", "--family", family, "--n", "10", "--gamma", gamma,
+                     "--replicates", "200", "--workers", "1", "--no-cache"])
+        assert code == EXIT_INPUT
+        assert "[0.001, 1000]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family", ["weibull", "pareto", "frechet"])
+    def test_gamma_at_the_range_ends_runs(self, family):
+        assert main(["critvals", "--family", family, "--n", "10", "--gamma", "0.001,1000",
+                     "--replicates", "200", "--workers", "1", "--no-cache"]) == EXIT_OK
 
     def test_killed_helper_exits_3_and_is_reaped(self, monkeypatch, capsys):
         caller, real_fit = os.getpid(), simulation.fit_batch
@@ -300,6 +323,7 @@ class TestPowerStudyCommand:
         ("gammas", ["nan"]), ("sample_sizes", [2]), ("crit_replicates", 50),
         ("gammas", 1.0), ("sample_sizes", 20),
         ("families", [1]), ("alternatives", [2.5]), ("alternatives", [None]),
+        ("gammas", [1e-4]), ("gammas", [1e5]),
     ])
     def test_invalid_config_value_exits_2(self, tmp_path, capsys, field, value):
         config = {"families": ["weibull"], "alternatives": ["LN(1)"], "gammas": [1.0],
