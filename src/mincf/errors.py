@@ -16,11 +16,6 @@ class DegenerateSampleError(ValueError):
 class ConvergenceError(RuntimeError):
     """An iterative solver exhausted its budget without meeting tolerance."""
 
-    def __init__(self, message, *, iterations=None, residual=None):
-        super().__init__(message)
-        self.iterations = iterations
-        self.residual = residual
-
 
 class EngineError(RuntimeError):
     """The Monte Carlo engine hit a persistent failure (e.g. MLE breakdown)."""

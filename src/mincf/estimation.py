@@ -171,8 +171,7 @@ def mle(family: Family, sample) -> Estimate:
     if not converged[0]:
         raise ConvergenceError(
             f"{family.value} shape equation did not converge "
-            f"(n={x.size}, data spread may be too small or too extreme)",
-            iterations=int(iterations[0]),
+            f"(n={x.size}, data spread may be too small or too extreme)"
         )
     c0, phi0 = float(c[0]), float(phi[0])
     return Estimate(

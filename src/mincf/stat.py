@@ -10,18 +10,19 @@ psi0(t)^2 e^(-gamma t) dt (per family, closed up to one fixed Gauss-Legendre
 residual) and lam(z) = int min(1,t z) psi0(t) e^(-gamma t) dt.
 
 lam has one production route, the cached vectorized :func:`lambda_table`,
-serving the observed :func:`statistic` and the engine's :func:`batch_statistics`:
+serving the observed :func:`statistic` and the engine's :func:`batch_statistics`;
+:class:`LambdaTable` is its one switch on the family:
 
 * Pareto and Frechet - closed forms through E1 and regularized incomplete
-  gammas. Where those forms cancel (small 1/z), both integrate power series
-  term by term through one Horner helper, :func:`_series_moment`.
+  gammas. Where those forms cancel (small 1/z or gamma/z), both integrate
+  power series term by term through one Horner helper, :func:`_series_moment`.
 * Weibull - int t^2 e^(-1/t - gamma t) dt has no elementary form, so
-  piecewise-Chebyshev panels are fitted once per gamma to a composite
-  Gauss-Legendre rule, with the exact linear asymptote below the panels
-  and an analytic tail above them.
+  Chebyshev panels on a uniform grid in log z are fitted once per gamma to
+  a composite Gauss-Legendre rule, with the exact linear asymptote below
+  the panels and an analytic tail above them.
 
 Every public function takes gamma in [GAMMA_MIN, GAMMA_MAX] = [0.001, 1000], the
-range the tests check against mpmath, and raises DomainError outside it.
+range the tests check lam and L against mpmath, and raises DomainError outside it.
 
 E1, K_nu and the incomplete gammas come from :mod:`mincf.special` in numpy,
 so the production route loads no scipy. The quadrature oracles the tests
@@ -120,7 +121,7 @@ def _kernel_sum(g: float, y: np.ndarray) -> np.ndarray:
 # Family constants L_gamma.
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=64)
+@functools.cache
 def l_constant(family: Family, gamma: float) -> float:
     """L = int_0^inf psi0(t)^2 e^(-gamma t) dt for the standard member.
 
@@ -167,21 +168,8 @@ def l_constant(family: Family, gamma: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# lam(z): one route per family.
+# lam(z): the closed forms of Pareto and Frechet.
 # ---------------------------------------------------------------------------
-
-def _lambda_closed(family: Family, g: float, z: np.ndarray) -> np.ndarray:
-    """lam over an array of z > 0 for the families with a closed form."""
-    if family is Family.PARETO:
-        out = np.empty_like(z)
-        low = z <= 1.0
-        out[low] = _pareto_lambda_low(g, z[low])
-        out[~low] = _pareto_lambda_high(g, z[~low])
-        return out
-    if family is Family.FRECHET:
-        return _frechet_lambda(g, z)
-    raise DomainError(f"unknown family {family!r}")
-
 
 def _frechet_lambda(g, z):
     """Frechet lam(z), psi0(t) = 1 - e^(-t) + t E1(t), vectorized over z > 0.
@@ -191,14 +179,15 @@ def _frechet_lambda(g, z):
     the first term being the elementary part from 1 - e^(-t).
     Integrating by parts against E1'(t) = -e^(-t)/t writes I_k and the tail
     through E1 and regularized incomplete gammas. That form cancels for
-    small a, so for a <= min(0.5, 2/g) the series
-    e^(-g t) E1(t) = e^(-g t) (Ein(t) - EULER_GAMMA) - e^(-g t) log t, which
-    converges fast there, is integrated term by term instead.
+    small a and small g a, so for a <= min(0.5, 2/g), and for g a <= 0.1 up
+    to a = 4 (as far as the 27 Ein terms hold), the series
+    e^(-g t) E1(t) = e^(-g t) (Ein(t) - EULER_GAMMA) - e^(-g t) log t is
+    integrated term by term instead.
     """
     a = 1.0 / z
     out = _frechet_lambda_closed(g, z)
     r = g / (1.0 + g)
-    series = a <= min(0.5, 2.0 / g)
+    series = a <= min(max(0.5, 0.1 / g), 2.0 / g, 4.0)
     if np.any(series):
         m1 = (math.log1p(g) - r) / g ** 2
         a_s = a[series]
@@ -227,6 +216,15 @@ def _frechet_lambda_closed(g, z):
     return (-z * np.expm1(-g / z)) / g ** 2 + (z * np.expm1(-(1.0 + g) / z)) / (1.0 + g) ** 2
 
 
+def _pareto_lambda(g, z):
+    """Pareto lam(z), psi0(t) = t(1 - log t) for t <= 1 and 1 beyond, over z > 0."""
+    out = np.empty_like(z)
+    low = z <= 1.0
+    out[low] = _pareto_lambda_low(g, z[low])
+    out[~low] = _pareto_lambda_high(g, z[~low])
+    return out
+
+
 def _pareto_lambda_low(g, z):
     """Pareto branch for z <= 1 (fully closed form)."""
     e1g = exp_integral_e1(g)
@@ -243,13 +241,13 @@ def _pareto_lambda_high(g, z):
 
     With a = 1/z, lam = t1 + t2 - e^(-g)/g^2 - z L_2(a) - (L_1(1) - L_1(a)). L_1 and
     L_2 are closed forms through E1(g a), e^(-g a) and log a, which cancel for
-    small a, so for a <= min(0.25, 1/g) the exponential series is integrated
-    term by term instead.
+    small a and for small g a, so for a <= min(0.25, 1/g) and wherever
+    g a <= 0.1 the exponential series is integrated term by term instead.
     """
     a = 1.0 / z
     l1_full = (1.0 - EULER_GAMMA - math.log(g) - math.exp(-g) - exp_integral_e1(g)) / g ** 2
     l1, l2 = np.empty_like(a), np.empty_like(a)
-    small = a <= min(0.25, 1.0 / g)
+    small = a <= min(max(0.25, 0.1 / g), 1.0 / g)
     if np.any(small):
         e = _exp_series(g)
         l1[small] = _series_moment(a[small], 1, 0.0, e)
@@ -309,6 +307,7 @@ def lambda_complete(family: Family, gamma: float) -> float:
 
 _CHEB_DEG = 14
 _CHEB_TEST = np.array([-0.971, -0.683, -0.317, 0.089, 0.459, 0.823, 0.987])
+_MAX_PANELS = 256  # bounds one level's quadrature; gamma in range needs at most 16
 
 
 @dataclass(frozen=True)
@@ -316,9 +315,9 @@ class LambdaTable:
     """Vectorized evaluator of lam(z) for one (family, gamma).
 
     Pareto and Frechet evaluate their closed forms and carry no panels. For
-    Weibull, a piecewise Chebyshev fit of lam(e^u) covers [log z_lo, log z_hi];
-    below z_lo the exact linear asymptote applies, above z_hi an analytic
-    tail.
+    Weibull, Chebyshev fits of lam(e^u) on len(coeffs) panels of width h
+    cover [u_lo, u_lo + h len(coeffs)] = [log z_lo, log z_hi]; below z_lo
+    the exact linear asymptote applies, above z_hi an analytic tail.
     """
 
     family: Family
@@ -327,7 +326,8 @@ class LambdaTable:
     z_lo: float = 0.0
     z_hi: float = math.inf
     slope: float = math.nan
-    edges: np.ndarray = field(default_factory=lambda: np.empty(0))
+    u_lo: float = math.nan
+    h: float = math.nan
     coeffs: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
 
     def __call__(self, z):
@@ -336,8 +336,10 @@ class LambdaTable:
         z = np.atleast_1d(z)
         if self.family is Family.WEIBULL:
             out = self._weibull(z)
+        elif self.family is Family.PARETO:
+            out = _pareto_lambda(self.gamma, z)
         else:
-            out = _lambda_closed(self.family, self.gamma, z)
+            out = _frechet_lambda(self.gamma, z)
         return float(out[0]) if scalar else out
 
     def _weibull(self, z):
@@ -353,25 +355,26 @@ class LambdaTable:
             corr = p2 / g ** 2 - 2.0 * z[hi] * p3 / g ** 3
             out[hi] = self.lam_inf - corr
         if np.any(mid):
-            u = np.log(z[mid])
-            idx = np.clip(np.searchsorted(self.edges, u, side="right") - 1, 0,
-                          len(self.coeffs) - 1)
-            vals = np.empty_like(u)
+            # Truncation, not floor: a log z rounded just below u_lo stays in panel 0.
+            x = (np.log(z[mid]) - self.u_lo) / self.h
+            idx = np.minimum(x.astype(np.intp), len(self.coeffs) - 1)
+            x = 2.0 * (x - idx) - 1.0
             # The panels in use, in order; np.unique would import numpy.ma (~10 ms) on first use.
             for k in np.flatnonzero(np.bincount(idx)):
                 sel = idx == k
-                u0, u1 = self.edges[k], self.edges[k + 1]
-                x = (2.0 * u[sel] - (u0 + u1)) / (u1 - u0)
-                vals[sel] = _cheb.chebval(x, self.coeffs[k])
-            out[mid] = vals
+                x[sel] = _cheb.chebval(x[sel], self.coeffs[k])  # abscissae become values
+            out[mid] = x
         return out
 
 
-@functools.lru_cache(maxsize=32)
+@functools.cache
 def lambda_table(family: Family, gamma: float) -> LambdaTable:
     """Build (and cache) the lam evaluator for one (family, gamma).
 
     Only Weibull has panels to fit: its lam has no elementary closed form.
+    1, 2, 4, ... equal panels split [log(gamma/40), log 40], a level per
+    chebfit call, until each is within 1e-11 * max(1, lam_inf) of the
+    quadrature at 7 test points: up to 16 panels for gamma in [0.001, 1000].
     """
     g = _check_gamma(gamma)
     lam_inf = lambda_complete(family, g)
@@ -393,31 +396,25 @@ def lambda_table(family: Family, gamma: float) -> LambdaTable:
         # Gauss-Legendre on `pieces` cut at 1/z: within 1e-15 * max(1, lam_inf) of
         # the test oracle small_lambda for g in [0.001, 1000]. A last piece
         # [16, 40/g] lost 5e-7 at g = 0.02.
-        z = np.exp(u)[:, None]
+        z = np.exp(u)[..., None]
         return lam_inf - _gauss_legendre(
             lambda t: (1.0 - z[..., None] * t) * null_min_cf(Family.WEIBULL, t) * np.exp(-g * t),
             np.minimum(pieces, 1.0 / z),
         )
 
     nodes = np.cos(np.arange(_CHEB_DEG + 1) * np.pi / _CHEB_DEG)
-    panels = []
-    stack = [(u_lo, u_hi)]
-    while stack:
-        a, b = stack.pop()
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        y = f(mid + half * nodes)
-        coef = _cheb.chebfit(nodes, y, _CHEB_DEG)
-        err = np.max(np.abs(_cheb.chebval(_CHEB_TEST, coef) - f(mid + half * _CHEB_TEST)))
-        if err <= tol or (b - a) < 1e-3:
-            panels.append((a, b, coef))
-        else:  # the left half is popped first, so the panels come out in order
-            stack.append((mid, b))
-            stack.append((a, mid))
-    edges = np.array([p[0] for p in panels] + [panels[-1][1]])
-    coeffs = np.array([p[2] for p in panels])
+    m = 1
+    while True:
+        h = (u_hi - u_lo) / m
+        mids = u_lo + h * (np.arange(m) + 0.5)
+        coeffs = _cheb.chebfit(nodes, f(mids + 0.5 * h * nodes[:, None]), _CHEB_DEG)
+        err = _cheb.chebval(_CHEB_TEST, coeffs) - f(mids[:, None] + 0.5 * h * _CHEB_TEST)
+        if np.max(np.abs(err)) <= tol or m == _MAX_PANELS:
+            break
+        m *= 2
     return LambdaTable(
         family=family, gamma=g, lam_inf=lam_inf, z_lo=z_lo, z_hi=z_hi, slope=slope,
-        edges=edges, coeffs=coeffs,
+        u_lo=u_lo, h=h, coeffs=coeffs.T,
     )
 
 

@@ -30,7 +30,7 @@ from scipy.special import erf, exp1, gammainc, ndtr
 from mincf.errors import ConfigError, ConvergenceError, DomainError
 from mincf.families import AlternativeSpec, Family, ParamPair
 from mincf.special import gammainc23
-from mincf.stat import _check_gamma, _lambda_closed, lambda_complete
+from mincf.stat import _check_gamma, lambda_complete, lambda_table
 
 
 class IntegrationError(RuntimeError):
@@ -315,9 +315,11 @@ _WEIBULL_QUAD = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-16, max_subdivisions=20
 def small_lambda(family: Family, gamma: float, z: float) -> float:
     """lam(z) = int_0^inf min(1, t z) psi0(t) e^(-gamma t) dt at one point.
 
-    Pareto and Frechet evaluate the closed forms of :mod:`mincf.stat`;
-    Weibull runs one adaptive quadrature, the reference for the panels of
-    :func:`mincf.stat.lambda_table`.
+    Pareto and Frechet read the closed forms through
+    :func:`mincf.stat.lambda_table`, so the tests against mpmath
+    (``TestClosedFormLambda``, gamma from 0.001 to 1000) are what check them.
+    Weibull runs one adaptive quadrature, the reference for the panels that
+    lambda_table fits on a uniform grid in log z.
     """
     g = _check_gamma(gamma)
     z = float(z)
@@ -325,7 +327,7 @@ def small_lambda(family: Family, gamma: float, z: float) -> float:
         raise DomainError(f"lambda argument must be positive, got {z!r}")
     if family is Family.WEIBULL:
         return _lambda_via_complement(g, z, lambda_complete(family, g))
-    return float(_lambda_closed(family, g, np.array([z]))[0])
+    return lambda_table(family, g)(z)
 
 
 def _lambda_via_complement(g: float, z: float, lam_inf: float) -> float:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
-from mincf import simulation
+from mincf import simulation, stat
 from mincf.errors import ConfigError, DomainError, EngineError
 from mincf.estimation import fit_batch
 from mincf.families import (
@@ -189,6 +189,16 @@ class TestBuildNulls:
         monkeypatch.setattr(simulation, "fit_batch", fail_first_call)
         with pytest.raises(EngineError, match=r"failed on 300 of 300 .*gamma=0\.5,1,5\)"):
             build_nulls(Family.WEIBULL, 10, GAMMAS, 300, seed=1)
+
+    def test_each_table_is_built_once(self):
+        # More gammas than a 32-entry LRU holds: every chunk must read the
+        # tables _warm built, so each (family, gamma) misses exactly once.
+        gammas = np.geomspace(0.5, 50.0, 40)
+        stat.lambda_table.cache_clear()
+        stat.l_constant.cache_clear()
+        build_nulls(Family.WEIBULL, 10, gammas, 1100, seed=5)
+        assert stat.lambda_table.cache_info().misses == 40
+        assert stat.l_constant.cache_info().misses == 40
 
     def test_partial_cache_simulates_only_the_misses(self, tmp_path):
         data = np.random.default_rng(4).exponential(size=30)
@@ -570,6 +580,18 @@ class TestCache:
         assert cache.load(Family.WEIBULL, 8, 1.0, 300, 2) is None
         cache.save(null)
         assert cache.load(Family.WEIBULL, 8, 1.0, 300, 2) is not None
+
+    def test_other_code_version_is_a_miss(self, tmp_path, monkeypatch):
+        cache = NullCache(tmp_path)
+        null = build_null(Family.WEIBULL, 8, 1.0, 300, seed=2)
+        with monkeypatch.context() as m:
+            m.setattr(simulation, "STATISTIC_CODE_VERSION", "8")
+            stale = cache.save(null)
+        # Under the current version's name, only the header tells the files apart.
+        current = cache._path(Family.WEIBULL, 8, 1.0, 300, 2)
+        assert stale != current
+        os.replace(stale, current)
+        assert cache.load(Family.WEIBULL, 8, 1.0, 300, 2) is None
 
 
 class TestTestSample:
