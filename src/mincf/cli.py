@@ -1,13 +1,14 @@
 """Command-line front end: test datasets, tabulate critical values, run studies.
 
+The parser lives in :mod:`mincf.entry`, which parses before this module (and
+numpy) is imported; :func:`run` runs a parsed command.
+
 Exit codes: 0 success, 2 input/validation error (an OSError from a
 user-supplied path counts as one), 3 numerical failure, 4 internal error,
 130 interrupted (Ctrl-C, SIGINT).
 """
 from __future__ import annotations
 
-import argparse
-import csv
 import json
 import os
 import sys
@@ -16,6 +17,7 @@ import time
 import numpy as np
 
 from . import __version__
+from .entry import available_cpus, build_parser, main  # noqa: F401  (cli.main parses first)
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -24,7 +26,6 @@ from .errors import (
     EngineError,
 )
 from .families import Family, parse_alternative
-from .stat import GAMMA_MAX, GAMMA_MIN
 from .simulation import (
     STATISTIC_CODE_VERSION,
     NullCache,
@@ -41,16 +42,6 @@ EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 EXIT_INTERNAL = 4
 EXIT_INTERRUPTED = 130  # 128 + SIGINT, the shell's code for Ctrl-C
-
-_DEFAULT_CACHE = os.path.join("~", ".cache", "mincf")
-
-
-def available_cpus() -> int:
-    """The CPUs this process may run on: its affinity set where the platform
-    reports one (a cpuset can be smaller than the machine), else the CPU count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def read_data_file(path: str) -> np.ndarray:
@@ -206,6 +197,8 @@ def _cmd_critvals(args) -> int:
 
 
 def _cmd_power_study(args) -> int:
+    import csv  # only this command writes CSV; the others skip its import
+
     try:
         with open(args.config, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -264,59 +257,14 @@ def _cmd_power_study(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="mincf",
-        description="Goodness-of-fit tests for Weibull, Pareto I and Frechet "
-                    "families based on the min-characteristic function.",
-    )
-    parser.add_argument("--version", action="version", version=f"mincf {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-        p.add_argument("--workers", type=int, default=available_cpus(),
-                       help="processes for the simulation (default: usable CPUs)")
-        p.add_argument("--cache-dir", default=_DEFAULT_CACHE,
-                       help="directory for cached null distributions")
-        p.add_argument("--no-cache", action="store_true",
-                       help="disable the null-distribution cache")
-        p.add_argument("--out", help="write a JSON report to this path")
-
-    gamma_help = (f"comma-separated weight parameters, each in [{GAMMA_MIN:g}, {GAMMA_MAX:g}]"
-                  " (default 0.5,1,5)")
-
-    p_test = sub.add_parser("test", help="test a dataset against a family")
-    p_test.add_argument("--family", required=True, help="weibull | pareto | frechet")
-    p_test.add_argument("--data", required=True, help="data file (one value per line)")
-    p_test.add_argument("--gamma", default="0.5,1,5", help=gamma_help)
-    p_test.add_argument("--replicates", type=int, default=10000,
-                        help="Monte Carlo null replicates (default 10000)")
-    common(p_test)
-    p_test.set_defaults(func=_cmd_test)
-
-    p_cv = sub.add_parser("critvals", help="tabulate Monte Carlo critical values")
-    p_cv.add_argument("--family", required=True)
-    p_cv.add_argument("--n", default="20,50", help="comma-separated sample sizes")
-    p_cv.add_argument("--gamma", default="0.5,1,5", help=gamma_help)
-    p_cv.add_argument("--alpha", default="0.10,0.05,0.01")
-    p_cv.add_argument("--replicates", type=int, default=20000)
-    common(p_cv)
-    p_cv.set_defaults(func=_cmd_critvals)
-
-    p_ps = sub.add_parser("power-study", help="run a power study from a JSON config")
-    p_ps.add_argument("--config", required=True, help="study config (JSON)")
-    p_ps.add_argument("--out-csv", help="output CSV path (default: next to config)")
-    common(p_ps)
-    p_ps.set_defaults(func=_cmd_power_study)
-    return parser
+_COMMANDS = {"test": _cmd_test, "critvals": _cmd_critvals, "power-study": _cmd_power_study}
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def run(args) -> int:
+    """Run the command ``args`` (from :func:`build_parser`) names; return its
+    exit code."""
     try:
-        return args.func(args)
+        return _COMMANDS[args.command](args)
     except (ConfigError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -329,7 +277,3 @@ def main(argv=None) -> int:
     except Exception as exc:  # pragma: no cover
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -19,7 +19,6 @@ from __future__ import annotations
 import numbers
 import os
 import pickle
-import uuid
 import zipfile
 from dataclasses import dataclass, fields
 
@@ -622,6 +621,8 @@ class NullCache:
             return None
 
     def save(self, null: NullDistribution) -> str:
+        import uuid  # only a cache write needs it; runs that only read skip its import
+
         path = self._path(null.family, null.n, null.gamma, null.replicates, null.seed)
         # Each writer fills its own temp file and renames it into place, so
         # processes sharing the directory never see or clobber a partial file.

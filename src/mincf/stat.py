@@ -39,7 +39,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 from numpy.polynomial import polynomial as _poly
 
-from .errors import DomainError
+from .errors import GAMMA_MAX, GAMMA_MIN, DomainError
 from .families import Family, null_min_cf
 from .special import _E1_SERIES, EULER_GAMMA, bessel_k, exp_integral_e1, gammainc23, gammaincc23
 
@@ -66,11 +66,6 @@ def _gauss_legendre(f, edges):
 def _geometric_edges(top):
     """Pieces 0, 4^-12, ..., 4^top: ratio 4 keeps a log t singularity at 0 far off each."""
     return np.concatenate(([0.0], 4.0 ** np.arange(-12, top + 1)))
-
-
-#: The weights gamma the statistic is checked for against mpmath; outside them
-#: the 1/gamma^3 terms of L cancel (small gamma) or K_nu underflows (large).
-GAMMA_MIN, GAMMA_MAX = 1e-3, 1e3
 
 
 def _check_gamma(gamma) -> float:

@@ -441,6 +441,81 @@ def test_package_ships_no_test_oracles():
     assert sorted(name for name in removed if hasattr(mincf, name)) == []
 
 
+#: The public names of the package root, as exported before they became lazy.
+PUBLIC_NAMES = [
+    "AlternativeSpec", "ConfigError", "ConvergenceError", "DegenerateSampleError",
+    "DomainError", "EULER_GAMMA", "EngineError", "Estimate", "Family", "NullCache",
+    "NullDistribution", "ParamPair", "PowerResult", "STANDARD_PARAMS",
+    "STATISTIC_CODE_VERSION", "StatisticBreakdown", "StudyConfig", "StudyResult",
+    "TestResult", "bessel_k", "build_null", "build_nulls", "critical_value",
+    "derive_seed", "exp_integral_e1", "gof_test", "l_constant", "lambda_table", "mle",
+    "null_min_cf", "null_quantile", "p_value", "parse_alternative", "power", "run_study",
+    "sample_alternative", "sample_null", "standardize", "statistic",
+]
+
+
+class TestPackageRoot:
+    def test_public_names_resolve_and_are_listed(self):
+        assert sorted(mincf.__all__) == PUBLIC_NAMES
+        listed = dir(mincf)
+        for name in PUBLIC_NAMES:
+            assert getattr(mincf, name) is not None, name
+            assert name in listed, name
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            mincf.no_such_name  # noqa: B018
+
+    def test_submodules_import_from_a_fresh_root(self):
+        script = (
+            "import mincf\n"
+            "from mincf import cli, simulation, stat, special\n"
+            "print([m.__name__ for m in (cli, simulation, stat, special)])\n"
+        )
+        assert run_python(script) == "['mincf.cli', 'mincf.simulation', 'mincf.stat', 'mincf.special']"
+
+
+# Parsing comes before numpy: the package root resolves its names lazily and
+# `python -m mincf` parses before it imports mincf.cli, so an op that does
+# not compute pays no numpy start-up.
+_NUMPY_LOADED = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+
+
+def test_package_import_loads_no_numpy():
+    assert run_python("import sys, mincf\n" + _NUMPY_LOADED) == "[]"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--version"], 0),
+    (["--help"], 0),
+    (["test", "--family"], 2),  # usage error: the option lacks its value
+], ids=["version", "help", "usage-error"])
+def test_non_computing_commands_load_no_numpy(argv, code):
+    script = (
+        "import runpy, sys\n"
+        f"sys.argv = ['mincf', *{argv!r}]\n"
+        "try:\n"
+        "    runpy.run_module('mincf', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    print('exit', exc.code)\n"
+        + _NUMPY_LOADED
+    )
+    out = subprocess.run([sys.executable, "-c", script], env=checkout_env(),
+                         capture_output=True, text=True, check=True).stdout.splitlines()
+    assert out[-2:] == [f"exit {code}", "[]"]
+
+
+def test_script_entry_is_the_parse_first_main():
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["mincf"]
+    module, function = target.split(":")
+    entry = importlib.import_module("mincf.entry")
+    assert getattr(importlib.import_module(module), function) is entry.main
+    assert cli.main is entry.main
+
+
 def test_cold_and_warm_test_commands_load_no_scipy(tmp_path):
     data = tmp_path / "data.txt"
     np.savetxt(data, np.random.default_rng(8).weibull(1.5, size=30))

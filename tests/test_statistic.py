@@ -229,10 +229,10 @@ class TestLambdaTable:
 class TestClosedFormLambda:
     """The lam table of every family against mpmath quadrature.
 
-    small_lambda and lambda_table share the closed forms for Pareto (z > 1)
-    and Frechet, so TestLambdaTable cannot catch an error in them; for
-    Weibull this checks the panels and both asymptotic branches without the
-    adaptive quadrature. The z grid straddles every branch switch: z = 1 and
+    small_lambda and lambda_table share the closed forms for Pareto (both
+    sides of z = 1) and Frechet, so TestLambdaTable cannot catch an error in
+    them; for Weibull this checks the panels and both asymptotic branches
+    without the adaptive quadrature. The z grid straddles every branch switch: z = 1 and
     z = max(min(4, 10 gamma), gamma) for Pareto, z = max(min(2, 10 gamma),
     gamma/2, 1/4) for Frechet, the panel range [gamma/40, 40] for Weibull.
     """
@@ -250,9 +250,8 @@ class TestClosedFormLambda:
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     @pytest.mark.parametrize("gamma", [0.02, 0.05, 0.2, 0.5, 1.0, 5.0, 8.0, 30.0, 1000.0, 0.001])
     def test_against_mpmath(self, family, gamma):
-        z = self.Z[self.Z > 1.0] if family is Family.PARETO else self.Z
-        ref = np.array([self._oracle(family, gamma, v) for v in z])
-        got = lambda_table(family, gamma)(z)
+        ref = np.array([self._oracle(family, gamma, v) for v in self.Z])
+        got = lambda_table(family, gamma)(self.Z)
         scale = max(1.0, lambda_complete(family, gamma))
         assert np.max(np.abs(got - ref)) <= 5e-10 * scale
 
