@@ -6,13 +6,16 @@ statistic depends on gamma, so one draw-and-fit pass at a seed serves every
 gamma: each replicate is drawn, fitted and standardized once, then scored at
 each gamma. The replicates run in fixed chunks of 512, and chunk k draws from
 its own substream (seed, k): its whole sample matrix in one generator call,
-then each round of MLE redraws in one more. The chunk layout does not depend
-on the worker count, so results are bit-identical for a fixed seed however
-many workers run. The calling process scores chunks itself, beside up to
-workers - 1 helpers forked once per engine call; where os.fork is missing,
-every chunk runs in the caller. A power study runs all its passes, a null per
-(family, n) and an alternative per cell, as one such call, so short passes
-run side by side. No step loads scipy.
+then each round of MLE redraws in one more. Each round fits and scores its
+rows in blocks of about 2^14 values, so a chunk's temporaries stay small at
+any n; fits and statistics are per-row reductions, so the blocks leave every
+bit unchanged. The chunk layout does not depend on the worker count, so
+results are bit-identical for a fixed seed however many workers run. The
+calling process scores chunks itself, beside up to workers - 1 helpers
+forked once per engine call; where os.fork is missing, every chunk runs in
+the caller. A power study runs all its passes, a null per (family, n) and an
+alternative per cell, as one such call, so short passes run side by side.
+No step loads scipy.
 """
 from __future__ import annotations
 
@@ -37,12 +40,17 @@ from .families import (
 from .stat import GAMMA_MAX, GAMMA_MIN, batch_statistics, l_constant, lambda_table, statistic
 
 #: Bump when the statistic implementation changes; cached nulls are keyed on it.
-STATISTIC_CODE_VERSION = "9"
+STATISTIC_CODE_VERSION = "10"
 
 #: Replicates per work unit and per random substream. Fixed so that the chunk
 #: layout (and therefore every draw and floating-point reduction) is
 #: independent of the worker count.
 _CHUNK = 512
+
+#: Values fitted and scored at once: a chunk runs in blocks of _BLOCK // n
+#: rows, so its (rows, n) temporaries stay near 2^14 values (128 KiB) at any
+#: n. At n <= 32 a chunk is one block.
+_BLOCK = 1 << 14
 
 _MAX_ATTEMPTS = 100
 
@@ -198,22 +206,22 @@ def _draw(family, alt, shape, rng: np.random.Generator) -> np.ndarray:
 def _simulate_chunk(family, n, gammas, seed, i0, i1, alt):
     """Replicates [i0, i1) of chunk i0 // _CHUNK: (stats with one row per
     gamma, redraws, failed fits). The chunk's samples, redraws included,
-    come from its substream (seed, i0 // _CHUNK), drawn by :func:`_draw`."""
+    come from its substream (seed, i0 // _CHUNK), drawn by :func:`_draw`.
+    Each attempt fits and scores its pending rows in blocks of
+    max(1, _BLOCK // n) rows; every fit and statistic is a per-row
+    reduction, so the blocks leave every bit of the result unchanged."""
     count = i1 - i0
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i0 // _CHUNK,)))
     x = _draw(family, alt, (count, n), rng)
 
     stats = np.empty((len(gammas), count))
+    rows = max(1, _BLOCK // n)
     pending = np.arange(count)
     redraws = 0
     failed = np.zeros(count, dtype=bool)
     for _ in range(_MAX_ATTEMPTS):
-        c, phi, ok, _ = fit_batch(family, x[pending])
-        good = pending[ok]
-        if good.size:
-            y = (x[good] / c[ok, None]) ** phi[ok, None]
-            for k, gamma in enumerate(gammas):
-                stats[k, good] = batch_statistics(family, gamma, y)
+        ok = np.concatenate([_score_block(family, gammas, x, pending[s:s + rows], stats)
+                             for s in range(0, pending.size, rows)])
         pending = pending[~ok]
         if pending.size == 0:
             break
@@ -226,6 +234,18 @@ def _simulate_chunk(family, n, gammas, seed, i0, i1, alt):
             f"({family.value}, n={n})"
         )
     return stats, redraws, int(failed.sum())
+
+
+def _score_block(family, gammas, x, block, stats):
+    """Fit the rows ``block`` of x, write the statistics of those that fit
+    into their columns of ``stats``, and return the fit's ok mask."""
+    c, phi, ok, _ = fit_batch(family, x[block])
+    good = block[ok]
+    if good.size:
+        y = (x[good] / c[ok, None]) ** phi[ok, None]
+        for k, gamma in enumerate(gammas):
+            stats[k, good] = batch_statistics(family, gamma, y)
+    return ok
 
 
 def _run_passes(passes, workers):

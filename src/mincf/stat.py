@@ -221,13 +221,20 @@ def _pareto_lambda(g, z):
 
 
 def _pareto_lambda_low(g, z):
-    """Pareto branch for z <= 1 (fully closed form)."""
-    e1g = exp_integral_e1(g)
+    """Pareto branch for z <= 1: lam = z c1 + z (e^(-g)(1 + g) - e^(-g/z))/g^2
+    with c1 = int_0^1 t^2 (1 - log t) e^(-g t) dt. c1's closed form is a
+    difference of terms of order 1/g^3, so for g <= 0.1 the exponential
+    series is integrated term by term instead."""
     eg = math.exp(-g)
-    c1 = (
-        (2.0 - eg * (2.0 + 2.0 * g + g * g))
-        - (3.0 - 2.0 * EULER_GAMMA - eg * (3.0 + g) - 2.0 * e1g - 2.0 * math.log(g))
-    ) / g ** 3
+    if g <= 0.1:
+        e = _exp_series(g)
+        c1 = _series_moment(1.0, 2, e, -e)
+    else:
+        c1 = (
+            (2.0 - eg * (2.0 + 2.0 * g + g * g))
+            - (3.0 - 2.0 * EULER_GAMMA - eg * (3.0 + g) - 2.0 * exp_integral_e1(g)
+               - 2.0 * math.log(g))
+        ) / g ** 3
     return z * c1 + z * (eg * (1.0 + g) - np.exp(-g / z)) / (g * g)
 
 

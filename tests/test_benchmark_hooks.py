@@ -36,6 +36,17 @@ def test_cli_targets_resolve_and_see_the_engine(tracing):
     assert sum(rec["attrs"]["rows"] for rec in fits) >= 100
 
 
+def test_traced_fits_see_every_block(tracing):
+    # At n = 200 each attempt fits its rows in blocks; the engine calls
+    # fit_batch through simulation's namespace, so the tracer sees them all.
+    tracer = tracing.Tracer()
+    with tracer.patched(tracing.cli_targets(tracer)):
+        null = simulation.build_null(Family.WEIBULL, 200, 1.0, 600, 0)
+    fits = [rec for rec in tracer.spans if rec["name"] == "estimation.fit_batch"]
+    assert len(fits) > 2  # 600 replicates are two chunks
+    assert sum(rec["attrs"]["rows"] for rec in fits) == 600 + null.redraws
+
+
 def test_layer_replay_names_resolve(tracing):
     import layers  # noqa: F401  (imports only numpy and tracing)
 

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -283,6 +284,92 @@ class TestChunkStreams:
         for row, null in zip(stats, nulls):
             assert null.redraws == 8
             assert np.array_equal(null.sorted_stats, np.sort(row))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_redraws_come_from_the_chunk_stream_across_blocks(self, monkeypatch, workers):
+        # At n = 200 a chunk is fitted in blocks of _BLOCK // 200 rows. The
+        # first fit of every other block, made before its chunk's first
+        # redraw, rejects the block's row 0: 4 rows a chunk, under the 1%
+        # failure limit. Forked helpers inherit the patches.
+        n, count = 200, 512
+        rows = simulation._BLOCK // n
+        real_chunk, real_draw, real_fit = (
+            simulation._simulate_chunk, simulation._draw, simulation.fit_batch)
+        draws, first_fits = [], []  # the current chunk's draws and first-fit block sizes
+
+        def chunk(*args):
+            draws.clear()
+            first_fits.clear()
+            return real_chunk(*args)
+
+        def draw(*args):
+            draws.append(args)
+            return real_draw(*args)
+
+        def reject_on_first_fit(family, x):
+            c, phi, ok, iterations = real_fit(family, x)
+            if len(draws) == 1:
+                if len(first_fits) % 2 == 0:
+                    ok = ok.copy()
+                    ok[0] = False
+                first_fits.append(x.shape[0])
+            return c, phi, ok, iterations
+
+        monkeypatch.setattr(simulation, "_simulate_chunk", chunk)
+        monkeypatch.setattr(simulation, "_draw", draw)
+        monkeypatch.setattr(simulation, "fit_batch", reject_on_first_fit)
+        nulls = build_nulls(Family.FRECHET, n, GAMMAS, 2 * count, seed=7, workers=workers)
+        blocks = list(range(0, count, rows))
+        assert len(blocks) > 2
+        assert first_fits == [min(rows, count - b) for b in blocks]  # the caller's last chunk
+        reject = blocks[::2]
+
+        def null_draw(shape, rng):
+            return sample_null(Family.FRECHET, STANDARD_PARAMS, shape, rng)
+
+        stats = np.concatenate([
+            self.by_hand(Family.FRECHET, n, 7, k, count, null_draw, reject=reject)
+            for k in (0, 1)
+        ], axis=1)
+        for row, null in zip(stats, nulls):
+            assert null.redraws == 2 * len(reject)
+            assert np.array_equal(null.sorted_stats, np.sort(row))
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_blocks_leave_the_chunk_unchanged(self, monkeypatch, family):
+        # One row per block, uneven blocks of 7 rows, and the whole chunk as
+        # one block, for a full and a last chunk at n = 200.
+        n = 200
+        for alt in (None, parse_alternative("LN(1)")):
+            for i0, i1 in [(0, 512), (1024, 1100)]:
+                runs = []
+                for block in (n, 7 * n, 2 ** 30):
+                    monkeypatch.setattr(simulation, "_BLOCK", block)
+                    runs.append(simulation._simulate_chunk(family, n, GAMMAS, 13, i0, i1, alt))
+                stats, redraws, failed = runs[0]
+                for other in runs[1:]:
+                    assert np.array_equal(other[0], stats)
+                    assert other[1:] == (redraws, failed)
+
+
+class TestChunkMemory:
+    @pytest.mark.parametrize("family", list(Family))
+    def test_n200_chunk_peak_is_small(self, family):
+        # Fitted and scored in one piece, a (512, 200) chunk peaked at
+        # 9.1-15.5 MiB of temporaries; in blocks of ~2^14 values it needs
+        # little more than its 0.8 MiB sample matrix.
+        for gamma in GAMMAS:  # the tables are built once per process, not per chunk
+            stat.lambda_table(family, gamma)
+            stat.l_constant(family, gamma)
+        for alt in (None, parse_alternative("LN(1)")):
+            simulation._simulate_chunk(family, 200, GAMMAS, 3, 0, 512, alt)
+            tracemalloc.start()
+            try:
+                simulation._simulate_chunk(family, 200, GAMMAS, 4, 0, 512, alt)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 5 * 2 ** 20
 
 
 class TestHelpers:

@@ -255,6 +255,15 @@ class TestClosedFormLambda:
         scale = max(1.0, lambda_complete(family, gamma))
         assert np.max(np.abs(got - ref)) <= 5e-10 * scale
 
+    @pytest.mark.parametrize("gamma", [0.001, 0.01, 0.1])
+    def test_pareto_low_branch_at_small_gamma(self, gamma):
+        # c1 = int_0^1 t^2 (1 - log t) e^(-g t) dt by its series: the closed
+        # form lost 4.4e-10 * max(1, lam_inf) here at g = 0.001.
+        z = self.Z[self.Z <= 1.0]
+        ref = np.array([self._oracle(Family.PARETO, gamma, v) for v in z])
+        got = lambda_table(Family.PARETO, gamma)(z)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, lambda_complete(Family.PARETO, gamma))
+
     @pytest.mark.parametrize("z", [1e-8, 1e-3])
     def test_weibull_reference_at_large_gamma(self, z):
         # The mass of the complement integrand sits near t ~ 1/gamma = 1e-3, deep
