@@ -271,6 +271,9 @@ def run(args) -> int:
     except (DegenerateSampleError, ConvergenceError, EngineError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except MemoryError as exc:
+        print(f"out of memory: {exc or 'an allocation failed'}", file=sys.stderr)
+        return EXIT_NUMERIC
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED

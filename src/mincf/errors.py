@@ -4,8 +4,9 @@ This module imports nothing, so the argument parser can name the gamma range
 in its help text without loading numpy.
 """
 
-#: The weights gamma the statistic is checked for against mpmath; outside them
-#: the 1/gamma^3 terms of L cancel (small gamma) or K_nu underflows (large).
+#: The weights gamma the statistic is checked for against mpmath. Below them
+#: T = sum K/n + n L - 2 sum lam cancels terms of order n/gamma down to O(1),
+#: so Pareto's and Frechet's per-value lam errors dominate T.
 GAMMA_MIN, GAMMA_MAX = 1e-3, 1e3
 
 

@@ -123,16 +123,12 @@ def fit_batch(family: Family, x: np.ndarray):
         phi = np.where(converged, n / np.where(tail > 0, tail, 1.0), np.nan)
         return c, phi, converged, np.zeros(b, dtype=np.int64)
 
-    if family is Family.WEIBULL:
-        phi, converged, iterations = solve_weibull_shape(logs)
-        log_c = (_logsumexp(phi[:, None] * logs, axis=1) - np.log(n)) / phi
-        return np.exp(log_c), phi, converged, iterations
-
-    if family is Family.FRECHET:
+    if family in (Family.WEIBULL, Family.FRECHET):
         # x -> 1/x turns the Frechet likelihood into the Weibull one with
         # phi unchanged and c inverted.
-        phi, converged, iterations = solve_weibull_shape(-logs)
-        log_c = -(_logsumexp(-phi[:, None] * logs, axis=1) - np.log(n)) / phi
+        sign = 1.0 if family is Family.WEIBULL else -1.0
+        phi, converged, iterations = solve_weibull_shape(sign * logs)
+        log_c = sign * (_logsumexp(sign * phi[:, None] * logs, axis=1) - np.log(n)) / phi
         return np.exp(log_c), phi, converged, iterations
 
     raise DomainError(f"unknown family {family!r}")
@@ -143,12 +139,11 @@ def _log_likelihood(family: Family, x: np.ndarray, c: float, phi: float) -> floa
     logs = np.log(x)
     if family is Family.PARETO:
         return n * np.log(phi) + n * phi * np.log(c) - (phi + 1.0) * logs.sum()
-    if family is Family.WEIBULL:
-        power_sum = np.exp(_logsumexp(phi * (logs - np.log(c))))
-        return n * np.log(phi) - n * phi * np.log(c) + (phi - 1.0) * logs.sum() - power_sum
-    if family is Family.FRECHET:
-        power_sum = np.exp(_logsumexp(-phi * (logs - np.log(c))))
-        return n * np.log(phi) + n * phi * np.log(c) - (phi + 1.0) * logs.sum() - power_sum
+    if family in (Family.WEIBULL, Family.FRECHET):
+        sign = 1.0 if family is Family.WEIBULL else -1.0  # the mirror of fit_batch
+        power_sum = np.exp(_logsumexp(sign * phi * (logs - np.log(c))))
+        return (n * np.log(phi) - sign * n * phi * np.log(c)
+                + (sign * phi - 1.0) * logs.sum() - power_sum)
     raise DomainError(f"unknown family {family!r}")
 
 

@@ -1,12 +1,15 @@
 """Special functions of the statistic's closed forms.
 
-The closed forms of the statistic need the modified Bessel function K_nu, the
-exponential integral E1 and the regularized incomplete gammas at orders 2
-and 3. Each has a short numpy form here, within 5e-15 relative of mpmath
-over the arguments the statistic produces, so the production route imports
-no scipy: K_nu by the trapezoid rule on its integral over cosh, E1 by
-series, Chebyshev table and continued fraction, and the incomplete gammas by
-their finite sums.
+The closed forms of the statistic need the exponential integral E1 and the
+regularized incomplete gammas at orders 2 and 3. Each has a short numpy form
+here, within 5e-15 relative of mpmath over the arguments the statistic
+produces, so the production route imports no scipy: E1 by series, Chebyshev
+table and continued fraction, and the incomplete gammas by their finite sums.
+
+The modified Bessel function K_nu, by the trapezoid rule on its integral over
+cosh, stays public (the paper prints Weibull's L and lam_inf through it, and
+criterion 6 of the acceptance suite checks it), but no production route calls
+it: those integrals of psi0 are taken by quadrature in :mod:`mincf.stat`.
 """
 from __future__ import annotations
 

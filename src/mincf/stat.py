@@ -6,8 +6,11 @@ The statistic for a standardized sample Y_1..Y_n and weight exp(-gamma*t) is
 
 with K(z1,z2) = int min(1,t z1) min(1,t z2) e^(-gamma t) dt (family-free,
 closed form, double sum in O(n log n) by :func:`_kernel_sum`), L = int
-psi0(t)^2 e^(-gamma t) dt (per family, closed up to one fixed Gauss-Legendre
-residual) and lam(z) = int min(1,t z) psi0(t) e^(-gamma t) dt.
+psi0(t)^2 e^(-gamma t) dt and lam(z) = int min(1,t z) psi0(t) e^(-gamma t) dt.
+
+The per-gamma integrals of psi0 - L, lam's limit lam_inf, Weibull's slope
+lam(z)/z at z -> 0 and Pareto's constant c1 - have one route,
+:func:`_psi0_integral`: a fixed Gauss-Legendre rule over a positive integrand.
 
 lam has one production route, the cached vectorized :func:`lambda_table`,
 serving the observed :func:`statistic` and the engine's :func:`batch_statistics`;
@@ -24,8 +27,8 @@ serving the observed :func:`statistic` and the engine's :func:`batch_statistics`
 Every public function takes gamma in [GAMMA_MIN, GAMMA_MAX] = [0.001, 1000], the
 range the tests check lam and L against mpmath, and raises DomainError outside it.
 
-E1, K_nu and the incomplete gammas come from :mod:`mincf.special` in numpy,
-so the production route loads no scipy. The quadrature oracles the tests
+E1 and the incomplete gammas come from :mod:`mincf.special` in numpy, so
+the production route loads no scipy. The quadrature oracles the tests
 hold these terms to are part of the test suite (``tests/oracles.py``), not
 of the package.
 """
@@ -41,7 +44,7 @@ from numpy.polynomial import polynomial as _poly
 
 from .errors import GAMMA_MAX, GAMMA_MIN, DomainError
 from .families import Family, null_min_cf
-from .special import _E1_SERIES, EULER_GAMMA, bessel_k, exp_integral_e1, gammainc23, gammaincc23
+from .special import _E1_SERIES, EULER_GAMMA, exp_integral_e1, gammainc23, gammaincc23
 
 
 @functools.cache
@@ -113,53 +116,31 @@ def _kernel_sum(g: float, y: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Family constants L_gamma.
+# The integrals of psi0 that depend only on gamma.
 # ---------------------------------------------------------------------------
+
+def _psi0_integral(family: Family, g: float, k: int, p: int, top: int | None = None) -> float:
+    """int_0^(4^top) t^k psi0(t)^p e^(-g t) dt by :func:`_gauss_legendre` on geometric pieces.
+
+    By default 4^top is the first power of 4 past 60/g, where e^(-g t) is
+    below e^(-60). The pieces put the log t singularity of Pareto and Frechet
+    at 0 and Pareto's kink at t = 1 on their edges.
+    """
+    if top is None:
+        top = max(-12, math.ceil(0.5 * math.log2(60.0 / g)))
+    return float(_gauss_legendre(
+        lambda t: t ** k * null_min_cf(family, t) ** p * np.exp(-g * t), _geometric_edges(top)
+    ))
+
 
 @functools.cache
 def l_constant(family: Family, gamma: float) -> float:
     """L = int_0^inf psi0(t)^2 e^(-gamma t) dt for the standard member.
 
-    Weibull is closed form; Pareto and Frechet add one residual integral by
-    :func:`_gauss_legendre` on geometric pieces, within 1e-15 relative of
-    mpmath for gamma from 0.001 to 1000.
+    One fixed Gauss-Legendre pass of a positive integrand, within 6e-16
+    relative of mpmath for gamma from 0.001 to 1000.
     """
-    g = _check_gamma(gamma)
-
-    if family is Family.WEIBULL:
-        return 2.0 / g ** 3 + (
-            4.0 * math.sqrt(2.0) * bessel_k(3.0, math.sqrt(8.0 * g))
-            - 4.0 * bessel_k(3.0, 2.0 * math.sqrt(g))
-        ) / g ** 1.5
-
-    if family is Family.PARETO:
-        resid = float(_gauss_legendre(
-            lambda t: t * t * np.log(t) ** 2 * np.exp(-g * t), _geometric_edges(0)
-        ))
-        e1g = exp_integral_e1(g)
-        return (
-            math.exp(-g) / g
-            + (math.exp(-g) * (4.0 - g * g) + 4.0 * (math.log(g) + e1g + EULER_GAMMA - 1.0))
-            / g ** 3
-            + resid
-        )
-
-    if family is Family.FRECHET:
-        def integrand(t):
-            e1 = exp_integral_e1(t)
-            return t * t * e1 * e1 * np.exp(-g * t)
-
-        # The integrand decays as e^(-(2+g) t): stop at the first power of 4 past 40/(2+g).
-        top = max(-12, math.ceil(0.5 * math.log2(40.0 / (2.0 + g))))
-        resid = float(_gauss_legendre(integrand, _geometric_edges(top)))
-        return (
-            1.0 / (2.0 + g)
-            + (g + 2.0 * (math.log1p(g) + 1.0 / (1.0 + g) - 1.0)) / g ** 2
-            - 2.0 * (g + math.log(2.0 + g) + 1.0 / (2.0 + g)) / (1.0 + g) ** 2
-            + resid
-        )
-
-    raise DomainError(f"unknown family {family!r}")
+    return _psi0_integral(family, _check_gamma(gamma), 0, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -220,22 +201,15 @@ def _pareto_lambda(g, z):
     return out
 
 
+@functools.cache
+def _pareto_c1(g):
+    """c1 = int_0^1 t psi0(t) e^(-g t) dt = int_0^1 t^2 (1 - log t) e^(-g t) dt."""
+    return _psi0_integral(Family.PARETO, g, 1, 1, top=0)
+
+
 def _pareto_lambda_low(g, z):
-    """Pareto branch for z <= 1: lam = z c1 + z (e^(-g)(1 + g) - e^(-g/z))/g^2
-    with c1 = int_0^1 t^2 (1 - log t) e^(-g t) dt. c1's closed form is a
-    difference of terms of order 1/g^3, so for g <= 0.1 the exponential
-    series is integrated term by term instead."""
-    eg = math.exp(-g)
-    if g <= 0.1:
-        e = _exp_series(g)
-        c1 = _series_moment(1.0, 2, e, -e)
-    else:
-        c1 = (
-            (2.0 - eg * (2.0 + 2.0 * g + g * g))
-            - (3.0 - 2.0 * EULER_GAMMA - eg * (3.0 + g) - 2.0 * exp_integral_e1(g)
-               - 2.0 * math.log(g))
-        ) / g ** 3
-    return z * c1 + z * (eg * (1.0 + g) - np.exp(-g / z)) / (g * g)
+    """Pareto branch for z <= 1: lam = z c1 + z (e^(-g)(1 + g) - e^(-g/z))/g^2."""
+    return z * _pareto_c1(g) + z * (math.exp(-g) * (1.0 + g) - np.exp(-g / z)) / (g * g)
 
 
 def _pareto_lambda_high(g, z):
@@ -297,14 +271,7 @@ def _series_moment(a, p, b, c):
 
 def lambda_complete(family: Family, gamma: float) -> float:
     """Limit of lam(z) as z -> inf: int_0^inf psi0(t) e^(-gamma t) dt."""
-    g = _check_gamma(gamma)
-    if family is Family.WEIBULL:
-        return 1.0 / g ** 2 - 2.0 * bessel_k(2.0, 2.0 * math.sqrt(g)) / g
-    if family is Family.PARETO:
-        return (EULER_GAMMA + math.log(g) + exp_integral_e1(g)) / g ** 2
-    if family is Family.FRECHET:
-        return 1.0 / g - 1.0 / (1.0 + g) + (math.log1p(g) - g / (1.0 + g)) / g ** 2
-    raise DomainError(f"unknown family {family!r}")
+    return _psi0_integral(family, _check_gamma(gamma), 0, 1)
 
 
 _CHEB_DEG = 14
@@ -383,8 +350,7 @@ def lambda_table(family: Family, gamma: float) -> LambdaTable:
     if family is not Family.WEIBULL:
         return LambdaTable(family=family, gamma=g, lam_inf=lam_inf)
 
-    # lim lam(z)/z as z -> 0, i.e. int_0^inf t psi0(t) e^(-g t) dt.
-    slope = 2.0 / g ** 3 - 2.0 * bessel_k(3.0, 2.0 * math.sqrt(g)) / g ** 1.5
+    slope = _psi0_integral(family, g, 1, 1)  # lim lam(z)/z as z -> 0
     z_lo, z_hi = g / 40.0, 40.0
     tol = 1e-11 * max(1.0, lam_inf)
     u_lo, u_hi = math.log(z_lo), math.log(z_hi)

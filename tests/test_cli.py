@@ -203,9 +203,10 @@ class TestCritvalsCommand:
     @pytest.mark.parametrize("family", ["weibull", "pareto", "frechet"])
     @pytest.mark.parametrize("gamma", ["1e-320", "1e-4", "1e5", "1e308"])
     def test_gamma_outside_checked_range_exits_2(self, capsys, family, gamma):
-        # Unchecked, L divides by zero (1e-320) or overflows (1e308), K_nu
-        # underflows (1e5, Weibull), and at 1e-4 the 1/gamma^3 terms of
-        # Pareto's L cancel into negative critical values.
+        # Unchecked, L's quadrature range (1e-320) or a power of gamma (1e308)
+        # overflows, Weibull's statistic is rounding noise, half of it
+        # negative (1e5), and at 1e-4 Pareto's is up to 4e-3 relative off
+        # its defining integral.
         code = main(["critvals", "--family", family, "--n", "10", "--gamma", gamma,
                      "--replicates", "200", "--workers", "1", "--no-cache"])
         assert code == EXIT_INPUT
@@ -231,6 +232,16 @@ class TestCritvalsCommand:
         assert "returned no chunk result" in capsys.readouterr().err
         with pytest.raises(ChildProcessError):  # the helper was reaped
             os.waitpid(-1, os.WNOHANG)
+
+    def test_out_of_memory_exits_3(self, monkeypatch, capsys):
+        def no_memory(family, alt, shape, rng):
+            raise MemoryError(f"Unable to allocate an array with shape {shape}")
+
+        monkeypatch.setattr(simulation, "_draw", no_memory)
+        code = main(["critvals", "--family", "weibull", "--n", "10", "--replicates", "200",
+                     "--gamma", "1", "--workers", "1", "--no-cache"])
+        assert code == EXIT_NUMERIC
+        assert "out of memory: Unable to allocate" in capsys.readouterr().err
 
     def test_ctrl_c_exits_130(self):
         # Ctrl-C in a terminal sends SIGINT to the whole foreground group:

@@ -13,6 +13,7 @@ from mincf.estimation import mle, standardize
 from mincf.families import Family, ParamPair, parse_alternative, sample_alternative, sample_null
 from mincf.stat import (
     _kernel_sum,
+    _pareto_c1,
     batch_statistics,
     l_constant,
     lambda_complete,
@@ -160,17 +161,26 @@ class TestLConstant:
         ) / g ** 1.5
         assert abs(l_constant(Family.WEIBULL, g) - printed) < 1e-14
 
-    @pytest.mark.parametrize("family", [Family.PARETO, Family.FRECHET])
-    @pytest.mark.parametrize("gamma", [0.02, 30.0, 1000.0])
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    @pytest.mark.parametrize("gamma", [0.001, 0.003, 0.01, 0.02, 30.0, 1000.0])
     def test_against_mpmath_outside_tested_gammas(self, family, gamma):
-        # A 30-digit reference at a tolerance the scipy oracle cannot hold:
-        # l_constant_oracle is about 1e-10 off at gamma = 30 and 3e-11 at 1000.
+        # The psi0 integrals against a 30-digit reference, at a tolerance the
+        # scipy oracle cannot hold (l_constant_oracle is about 1e-10 off at
+        # gamma = 30): L, lam_inf, Weibull's table slope and Pareto's c1. This
+        # is the one independent check of lam_inf, which small_lambda reads.
+        got = {(0, 2, mp.inf): l_constant(family, gamma),
+               (0, 1, mp.inf): lambda_complete(family, gamma)}
+        if family is Family.WEIBULL:
+            got[1, 1, mp.inf] = lambda_table(family, gamma).slope
+        if family is Family.PARETO:
+            got[1, 1, 1] = _pareto_c1(gamma)
+        psi0 = _mp_psi0(family)
         with mp.workdps(30):
             g = mp.mpf(gamma)
-            psi0 = _mp_psi0(family)
-            ref = float(mp.quad(lambda t: psi0(t) ** 2 * mp.exp(-g * t),
-                                sorted({mp.mpf(0), 1 / g, mp.mpf(1), mp.inf})))
-        assert abs(l_constant(family, gamma) - ref) <= 5e-12 * ref
+            for (k, p, upper), value in got.items():
+                ref = float(mp.quad(lambda t: t ** k * psi0(t) ** p * mp.exp(-g * t),
+                                    sorted(x for x in {0, 1 / g, 1, mp.inf} if x <= upper)))
+                assert abs(value - ref) <= 1e-14 * ref, (k, p, upper)
 
 
 class TestSmallLambda:
@@ -257,8 +267,8 @@ class TestClosedFormLambda:
 
     @pytest.mark.parametrize("gamma", [0.001, 0.01, 0.1])
     def test_pareto_low_branch_at_small_gamma(self, gamma):
-        # c1 = int_0^1 t^2 (1 - log t) e^(-g t) dt by its series: the closed
-        # form lost 4.4e-10 * max(1, lam_inf) here at g = 0.001.
+        # c1 = int_0^1 t^2 (1 - log t) e^(-g t) dt, whose closed form lost
+        # 4.4e-10 * max(1, lam_inf) here at g = 0.001.
         z = self.Z[self.Z <= 1.0]
         ref = np.array([self._oracle(Family.PARETO, gamma, v) for v in z])
         got = lambda_table(Family.PARETO, gamma)(z)
@@ -286,6 +296,21 @@ class TestStatistic:
                     assert br.value >= -1e-9
                     assert abs(br.value - direct) <= 1e-6 * max(br.value, 1e-12)
                     assert abs(br.double_sum + br.n_times_l - br.lambda_sum - br.value) < 1e-14
+
+    @pytest.mark.parametrize(("family", "gamma"), [
+        (Family.WEIBULL, 0.01), (Family.WEIBULL, 0.001),
+        (Family.PARETO, 0.01), (Family.FRECHET, 0.01),
+    ])
+    def test_oracle_equivalence_at_small_gamma(self, family, gamma):
+        # Criterion 1's bound below its gammas, where T = sum K/n + n L - 2 sum lam
+        # cancels terms of order n/gamma down to O(1), so an error in L or lam
+        # shows in T magnified by about n/(gamma T).
+        rng = np.random.default_rng(113)
+        for n in (20, 50):
+            for _ in range(4):
+                y = _standardized(family, n, rng)
+                direct = statistic_direct(family, y, gamma)
+                assert abs(statistic(family, y, gamma).value - direct) <= 1e-6 * direct
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_pipeline_invariance(self, family):
