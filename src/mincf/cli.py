@@ -150,7 +150,8 @@ def _cmd_test(args) -> int:
             "log_likelihood": est.log_likelihood,
         },
         "results": [
-            {"gamma": r.gamma, "statistic": r.statistic, "p_value": r.p_value}
+            {"gamma": r.gamma, "statistic": r.statistic, "p_value": r.p_value,
+             "redraws": r.redraws}
             for r in results
         ],
     }
@@ -179,7 +180,8 @@ def _cmd_critvals(args) -> int:
         for gamma, null in zip(gammas, nulls):
             cvs = [critical_value(null, a) for a in alphas]
             rows.append({"n": n, "gamma": gamma,
-                         "critical_values": dict(zip(map(str, alphas), cvs))})
+                         "critical_values": dict(zip(map(str, alphas), cvs)),
+                         "redraws": null.redraws})
             print(f"{n:5d} {gamma:8g} " + " ".join(f"{v:12.6e}" for v in cvs))
     report = {
         "command": "critvals",

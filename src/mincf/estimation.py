@@ -3,8 +3,9 @@
 Fitting a scale-power family member (c, phi) and mapping the data through
 Y_j = (X_j / c_hat)^phi_hat reduces any test built on the standardized values
 to a test of the standard member with both parameters equal to one. The
-Weibull and Frechet shape equations are solved by a safeguarded Newton
-iteration on a bracket; the Pareto fit is closed form.
+Weibull and Frechet shape equations are solved by a safeguarded Halley
+iteration on a bracket, falling back to bisection; the Pareto fit is closed
+form.
 
 All solvers come in a batched form operating on a replicate-by-observation
 matrix, which the Monte Carlo engine relies on; the public API wraps the
@@ -45,61 +46,96 @@ def _logsumexp(a, axis=None):
     return np.log(np.sum(np.exp(a - m), axis=axis)) + np.squeeze(m, axis=axis)
 
 
-def _weibull_score(phi, logs, log_mean):
-    """Profile score of the Weibull shape and its derivative, batched.
+def _weibull_moments(phi, d):
+    """Sum of the weights e^(phi d) and the first three moments of d under
+    them, batched.
 
-    score(phi) = sum(x^phi log x)/sum(x^phi) - 1/phi - mean(log x), written
-    through softmax weights of phi*log x so large shapes cannot overflow.
+    Each row of d is a row of log x minus its maximum, so phi*d <= 0: the
+    weights e^(phi d) cannot overflow and sum to at least 1.
     """
-    t = phi[:, None] * logs
-    t -= t.max(axis=1, keepdims=True)
-    w = np.exp(t)
-    w /= w.sum(axis=1, keepdims=True)
-    m1 = (w * logs).sum(axis=1)
-    m2 = (w * logs * logs).sum(axis=1)
-    score = m1 - 1.0 / phi - log_mean
-    slope = (m2 - m1 * m1) + 1.0 / (phi * phi)
-    return score, slope
+    w = np.multiply(phi[:, None], d)
+    np.exp(w, out=w)
+    total = w.sum(axis=1)
+    w *= d
+    m1 = w.sum(axis=1) / total
+    w *= d
+    m2 = w.sum(axis=1) / total
+    w *= d
+    return total, m1, m2, w.sum(axis=1) / total
+
+
+def _score_at(phi, d, d_mean, rows):
+    """The profile score at the single shape ``phi`` for the masked rows."""
+    _, m1, _, _ = _weibull_moments(np.full(np.count_nonzero(rows), phi), d[rows])
+    return m1 - d_mean[rows] - 1.0 / phi
 
 
 def solve_weibull_shape(logs: np.ndarray):
     """Solve the Weibull shape equation for each row of a (B, n) log matrix.
 
-    Returns (phi, converged, iterations). Rows whose data are constant, or
-    whose root falls outside [1e-3, 1e3], are reported as not converged.
+    The profile score is score(phi) = m1 - 1/phi - mean(log x), with m_k the
+    k-th moment of log x under the weights x^phi / sum(x^phi). It rises in
+    phi, with slope Var + 1/phi^2 and second derivative kappa3 - 2/phi^3
+    (the variance and third central moment under the same weights), so one
+    pass over a row gives a Halley step. A step that leaves the bracket
+    [lo, hi] of the root is replaced by bisection.
+
+    The bracket [1e-3, 1e3] holds the root if score(1e-3) < 0 < score(1e3).
+    As m1 <= max log x, score(1e-3) <= max log x - mean log x - 1000, so
+    score(1e-3) is evaluated only for rows where that bound is not negative,
+    and score(1e3) only for rows whose iterate passes 500: below it, a
+    converged root lies far enough under 1e3 that score(1e3) > 0.
+
+    Returns (phi, log_scale, converged, iterations), where log_scale is
+    log c = log(mean(x^phi))/phi, read off the last pass. Rows whose data
+    are constant, or whose root falls outside [1e-3, 1e3], are reported as
+    not converged, with log_scale NaN.
     """
     logs = np.asarray(logs, dtype=float)
-    b, _ = logs.shape
-    log_mean = logs.mean(axis=1)
-    spread = logs.max(axis=1) - logs.min(axis=1)
-    degenerate = spread <= 1e-12 * np.maximum(1.0, np.abs(logs).max(axis=1))
+    b, n = logs.shape
+    top, bottom = logs.max(axis=1), logs.min(axis=1)
+    degenerate = top - bottom <= 1e-12 * np.maximum(1.0, np.maximum(np.abs(top), np.abs(bottom)))
+    d = logs - top[:, None]
+    d_mean = d.mean(axis=1)
 
     sd = logs.std(axis=1)
     phi = np.clip(_MOMENT_CONST / np.where(sd > 0, sd, np.inf), _PHI_LO, _PHI_HI)
     lo = np.full(b, _PHI_LO)
     hi = np.full(b, _PHI_HI)
-    g_lo, _ = _weibull_score(lo, logs, log_mean)
-    g_hi, _ = _weibull_score(hi, logs, log_mean)
-    solvable = ~degenerate & (g_lo < 0) & (g_hi > 0)
+    solvable = ~degenerate
+    check = solvable & (-d_mean - 1.0 / _PHI_LO >= 0)
+    if check.any():
+        solvable[check] = _score_at(_PHI_LO, d, d_mean, check) < 0
+    hi_checked = np.zeros(b, dtype=bool)
 
     converged = np.zeros(b, dtype=bool)
     iterations = np.zeros(b, dtype=np.int64)
+    mean_power = np.full(b, np.nan)  # mean e^(phi d) at each converged phi
     for it in range(1, _MAX_ITER + 1):
-        score, slope = _weibull_score(phi, logs, log_mean)
+        check = solvable & ~hi_checked & (phi > 0.5 * _PHI_HI)
+        if check.any():
+            solvable[check] = _score_at(_PHI_HI, d, d_mean, check) > 0
+            hi_checked |= check
+        total, m1, m2, m3 = _weibull_moments(phi, d)
+        inv = 1.0 / phi
+        score = m1 - d_mean - inv
         done = solvable & ~converged & (np.abs(score) <= _SCORE_TOL)
         iterations[done] = it
+        mean_power[done] = total[done] / n
         converged |= done
         active = solvable & ~converged
         if not active.any():
             break
         hi = np.where(active & (score > 0), np.minimum(phi, hi), hi)
         lo = np.where(active & (score < 0), np.maximum(phi, lo), lo)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            cand = phi - score / slope
+        slope = m2 - m1 * m1 + inv * inv
+        curv = m3 - 3.0 * m1 * m2 + 2.0 * m1 ** 3 - 2.0 * inv ** 3
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            cand = phi - 2.0 * score * slope / (2.0 * slope * slope - score * curv)
         bad = ~np.isfinite(cand) | (cand <= lo) | (cand >= hi)
         cand = np.where(bad, 0.5 * (lo + hi), cand)
         phi = np.where(active, cand, phi)
-    return phi, converged, iterations
+    return phi, top + np.log(mean_power) / phi, converged, iterations
 
 
 def fit_batch(family: Family, x: np.ndarray):
@@ -127,9 +163,8 @@ def fit_batch(family: Family, x: np.ndarray):
         # x -> 1/x turns the Frechet likelihood into the Weibull one with
         # phi unchanged and c inverted.
         sign = 1.0 if family is Family.WEIBULL else -1.0
-        phi, converged, iterations = solve_weibull_shape(sign * logs)
-        log_c = sign * (_logsumexp(sign * phi[:, None] * logs, axis=1) - np.log(n)) / phi
-        return np.exp(log_c), phi, converged, iterations
+        phi, log_scale, converged, iterations = solve_weibull_shape(sign * logs)
+        return np.exp(sign * log_scale), phi, converged, iterations
 
     raise DomainError(f"unknown family {family!r}")
 

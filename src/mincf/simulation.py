@@ -40,7 +40,7 @@ from .families import (
 from .stat import GAMMA_MAX, GAMMA_MIN, batch_statistics, l_constant, lambda_table, statistic
 
 #: Bump when the statistic implementation changes; cached nulls are keyed on it.
-STATISTIC_CODE_VERSION = "11"
+STATISTIC_CODE_VERSION = "12"
 
 #: Replicates per work unit and per random substream. Fixed so that the chunk
 #: layout (and therefore every draw and floating-point reduction) is
@@ -75,7 +75,8 @@ class NullDistribution:
 
 @dataclass(frozen=True)
 class TestResult:
-    """Outcome of testing one dataset at one gamma."""
+    """Outcome of testing one dataset at one gamma; ``redraws`` counts the
+    null replicates redrawn after a failed fit."""
 
     family: Family
     n: int
@@ -85,6 +86,7 @@ class TestResult:
     estimate: object
     replicates: int
     seed: int
+    redraws: int = 0
 
 
 @dataclass(frozen=True)
@@ -522,7 +524,7 @@ def gof_test(
     return [
         TestResult(
             family=family, n=x.size, gamma=g, statistic=t, p_value=p_value(null, t),
-            estimate=est, replicates=replicates, seed=seed,
+            estimate=est, replicates=replicates, seed=seed, redraws=null.redraws,
         )
         for g, t, null in zip(gammas, observed, nulls)
     ]

@@ -21,8 +21,9 @@ serving the observed :func:`statistic` and the engine's :func:`batch_statistics`
   power series term by term through one Horner helper, :func:`_series_moment`.
 * Weibull - int t^2 e^(-1/t - gamma t) dt has no elementary form, so
   Chebyshev panels on a uniform grid in log z are fitted once per gamma to
-  a composite Gauss-Legendre rule, with the exact linear asymptote below
-  the panels and an analytic tail above them.
+  a composite Gauss-Legendre rule and evaluated by one Clenshaw recurrence
+  over all values, with the exact linear asymptote below the panels and an
+  analytic tail above them.
 
 Every public function takes gamma in [GAMMA_MIN, GAMMA_MAX] = [0.001, 1000], the
 range the tests check lam and L against mpmath, and raises DomainError outside it.
@@ -328,11 +329,14 @@ class LambdaTable:
             x = (np.log(z[mid]) - self.u_lo) / self.h
             idx = np.minimum(x.astype(np.intp), len(self.coeffs) - 1)
             x = 2.0 * (x - idx) - 1.0
-            # The panels in use, in order; np.unique would import numpy.ma (~10 ms) on first use.
-            for k in np.flatnonzero(np.bincount(idx)):
-                sel = idx == k
-                x[sel] = _cheb.chebval(x[sel], self.coeffs[k])  # abscissae become values
-            out[mid] = x
+            # Clenshaw's recurrence for all panels at once, each value reading
+            # its panel's coefficients; chebval's operations in chebval's order.
+            c = self.coeffs.T
+            x2 = 2.0 * x
+            c0, c1 = c[-2].take(idx), c[-1].take(idx)
+            for k in range(len(c) - 3, -1, -1):
+                c0, c1 = c[k].take(idx) - c1, c0 + c1 * x2
+            out[mid] = c0 + c1 * x
         return out
 
 

@@ -11,6 +11,9 @@ defining integrals adaptively through :func:`integrate` (QUADPACK):
   sorted double sum;
 * :func:`mle_limit`, :func:`population_min_cf` and :func:`population_delta` -
   the limit of statistic/n under a fixed alternative;
+* :func:`newton_weibull_shape` - the earlier production shape solver, a
+  safeguarded Newton iteration with both bracket-end scores evaluated on
+  every row, whose converged mask the Halley solver must reproduce;
 * the densities and distribution functions of the null and alternative laws.
 
 The integrands take and return one float, written with :mod:`math`; their
@@ -449,6 +452,53 @@ def mle_limit(family: Family, alt: AlternativeSpec) -> ParamPair:
     m = _alt_expectation(alt, lambda x: x ** (sign * phi))
     c = m ** (sign / phi)
     return ParamPair(c, phi)
+
+
+def newton_weibull_shape(logs):
+    """(phi, converged, iterations) of the Weibull shape equation for each row
+    of a (B, n) log matrix, by the safeguarded Newton iteration that
+    ``mincf.estimation.solve_weibull_shape`` used before its Halley steps.
+
+    A row converges once |score| <= 1e-12 with score(1e-3) < 0 < score(1e3),
+    both ends evaluated on every row; constant rows never do.
+    """
+    logs = np.asarray(logs, dtype=float)
+    b = logs.shape[0]
+    log_mean = logs.mean(axis=1)
+
+    def score_and_slope(phi):
+        t = phi[:, None] * logs
+        t -= t.max(axis=1, keepdims=True)
+        w = np.exp(t)
+        w /= w.sum(axis=1, keepdims=True)
+        m1 = (w * logs).sum(axis=1)
+        m2 = (w * logs * logs).sum(axis=1)
+        return m1 - 1.0 / phi - log_mean, (m2 - m1 * m1) + 1.0 / (phi * phi)
+
+    spread = logs.max(axis=1) - logs.min(axis=1)
+    degenerate = spread <= 1e-12 * np.maximum(1.0, np.abs(logs).max(axis=1))
+    sd = logs.std(axis=1)
+    phi = np.clip(1.2825 / np.where(sd > 0, sd, np.inf), 1e-3, 1e3)
+    lo = np.full(b, 1e-3)
+    hi = np.full(b, 1e3)
+    solvable = ~degenerate & (score_and_slope(lo)[0] < 0) & (score_and_slope(hi)[0] > 0)
+    converged = np.zeros(b, dtype=bool)
+    iterations = np.zeros(b, dtype=np.int64)
+    for it in range(1, 101):
+        score, slope = score_and_slope(phi)
+        done = solvable & ~converged & (np.abs(score) <= 1e-12)
+        iterations[done] = it
+        converged |= done
+        active = solvable & ~converged
+        if not active.any():
+            break
+        hi = np.where(active & (score > 0), np.minimum(phi, hi), hi)
+        lo = np.where(active & (score < 0), np.maximum(phi, lo), lo)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            cand = phi - score / slope
+        bad = ~np.isfinite(cand) | (cand <= lo) | (cand >= hi)
+        phi = np.where(active, np.where(bad, 0.5 * (lo + hi), cand), phi)
+    return phi, converged, iterations
 
 
 def population_min_cf(alt: AlternativeSpec, limit_params: ParamPair, t: float) -> float:

@@ -79,6 +79,32 @@ class TestTestCommand:
         assert len(report["results"]) == 2
         for row in report["results"]:
             assert 0.0 < row["p_value"] <= 1.0
+            assert isinstance(row["redraws"], int) and row["redraws"] >= 0
+
+    def test_report_counts_redraws(self, tmp_path, monkeypatch):
+        # At n = 20 a chunk is one block, and the engine's first fit of each
+        # full chunk rejects every 128th row; the dataset's own fit goes
+        # through estimation.fit_batch, unpatched.
+        data = tmp_path / "data20.txt"
+        np.savetxt(data, np.random.default_rng(3).exponential(size=20))
+        real_fit = simulation.fit_batch
+
+        def reject_on_first_fit(family, x):
+            c, phi, ok, iterations = real_fit(family, x)
+            if x.shape[0] == 512:
+                ok = ok.copy()
+                ok[::128] = False
+            return c, phi, ok, iterations
+
+        monkeypatch.setattr(simulation, "fit_batch", reject_on_first_fit)
+        out = tmp_path / "report.json"
+        assert main([
+            "test", "--family", "frechet", "--data", str(data), "--gamma", "0.5,1",
+            "--replicates", "1024", "--seed", "3", "--workers", "1", "--no-cache",
+            "--out", str(out),
+        ]) == EXIT_OK
+        report = json.loads(out.read_text())
+        assert [row["redraws"] for row in report["results"]] == [8, 8]
 
     def test_deterministic_across_runs(self, exp_data, tmp_path):
         outs = []
@@ -189,6 +215,7 @@ class TestCritvalsCommand:
         report = json.loads(out1.read_text())
         cvs = report["results"][0]["critical_values"]
         assert cvs["0.01"] >= cvs["0.05"] >= cvs["0.1"]
+        assert isinstance(report["results"][0]["redraws"], int)
         out2 = tmp_path / "cv2.json"
         assert main(args + ["--out", str(out2)]) == EXIT_OK
         assert json.loads(out2.read_text())["results"] == report["results"]

@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
+from mincf import estimation
 from mincf.errors import DegenerateSampleError, DomainError
-from mincf.estimation import _logsumexp, fit_batch, mle, standardize
+from mincf.estimation import _logsumexp, fit_batch, mle, solve_weibull_shape, standardize
 from mincf.families import Family, ParamPair, sample_null
+
+from oracles import newton_weibull_shape
 
 ALL_FAMILIES = list(Family)
 
@@ -76,6 +80,123 @@ class TestWeibull:
         x = sample_null(Family.WEIBULL, ParamPair(3.0, 200.0), 50, rng)
         est = mle(Family.WEIBULL, x)
         assert 50 < est.params.phi < 1000  # mle raises unless the shape converged
+
+
+def _weighted_moments(phi, logs):
+    """Score, slope and second derivative of the shape equation of one row at phi."""
+    w = np.exp(phi * (logs - logs.max()))
+    w /= w.sum()
+    m1, m2, m3 = (w * logs).sum(), (w * logs ** 2).sum(), (w * logs ** 3).sum()
+    return (m1 - 1.0 / phi - logs.mean(), m2 - m1 * m1 + phi ** -2.0,
+            m3 - 3.0 * m1 * m2 + 2.0 * m1 ** 3 - 2.0 * phi ** -3.0)
+
+
+def _brentq_root(logs):
+    return brentq(lambda phi: _weighted_moments(phi, logs)[0], 1e-3, 1e3,
+                  xtol=1e-300, rtol=1e-15, maxiter=500)
+
+
+class TestShapeSolver:
+    """solve_weibull_shape: Halley steps on a bracket, bisection as fallback."""
+
+    @pytest.mark.parametrize("n", [3, 20, 200])
+    def test_constant_and_near_constant_rows_do_not_converge(self, n):
+        rng = np.random.default_rng(40 + n)
+        rows = np.array([
+            np.full(n, 0.0),
+            np.full(n, -4.2),
+            math.log(5.0) + 1e-9 * rng.standard_normal(n),
+            math.log(5.0) + 1e-5 * rng.standard_normal(n),  # root near 1e5
+            np.log(rng.standard_exponential(n)),  # a regular row beside them
+        ])
+        rows[3, :2] = math.log(5.0) + np.array([-1e-5, 1e-5])  # spread bounded away from 0
+        assert _weighted_moments(1e3, rows[3])[0] < 0  # the root lies above 1e3
+        _, log_scale, converged, _ = solve_weibull_shape(rows)
+        assert converged.tolist() == [False, False, False, False, True]
+        assert np.isnan(log_scale[:4]).all()
+        assert np.array_equal(converged, newton_weibull_shape(rows)[1])
+
+    def test_root_just_above_the_bracket_does_not_converge(self):
+        # Scaling log x by 1/a scales the root by a. Here the root sits
+        # 2e-10 relative above 1e3, so |score(1e3)| is inside the tolerance:
+        # only the upper-end check keeps the row from converging at 1e3.
+        base = np.log(np.random.default_rng(44).standard_exponential(20))
+        row = base * (_brentq_root(base) / (1e3 * (1.0 + 2e-10)))
+        assert -1e-12 < _weighted_moments(1e3, row)[0] < 0
+        _, _, converged, _ = solve_weibull_shape(row[None, :])
+        assert not converged[0]
+        assert not newton_weibull_shape(row[None, :])[1][0]
+
+    def test_rows_with_root_below_the_bracket_do_not_converge(self, monkeypatch):
+        passes = []
+        moments = estimation._weibull_moments
+
+        def counted(phi, d):
+            passes.append(phi.size)
+            return moments(phi, d)
+
+        monkeypatch.setattr(estimation, "_weibull_moments", counted)
+        rng = np.random.default_rng(41)
+        wide = [rng.choice([-3000.0, 0.0, 3000.0], 30), np.linspace(-2500.0, 2500.0, 30)]
+        # A root just inside the bracket: max log x - mean log x exceeds 1000,
+        # so score(1e-3) is evaluated rather than bounded.
+        inside = 600.0 * np.log(rng.standard_exponential(30))
+        rows = np.array(wide + [inside])
+        for row in wide:
+            assert _weighted_moments(1e-3, row)[0] >= 0  # the root lies below 1e-3
+        assert inside.max() - inside.mean() >= 1000.0
+        phi, _, converged, _ = solve_weibull_shape(rows)
+        assert converged.tolist() == [False, False, True]
+        # The rows outside are dropped by one score(1e-3) pass, not iterated to the limit.
+        assert len(passes) < 10
+        assert np.array_equal(converged, newton_weibull_shape(rows)[1])
+        root = _brentq_root(inside)
+        assert 1e-3 < root < 1e-2
+        assert abs(phi[2] - root) <= 1e-11 * root
+
+    def test_bisection_fallback_converges(self, monkeypatch):
+        # Started at the bracket's lower end, phi = 1e-3, the first Halley step
+        # of many rows lands below it and is replaced by bisection.
+        rows = np.log(np.random.default_rng(42).standard_exponential((200, 5)))
+        expected, _, ok, _ = solve_weibull_shape(rows)
+        assert ok.all()
+        first = []
+        for row in rows:
+            score, slope, curv = _weighted_moments(1e-3, row)
+            first.append(1e-3 - 2.0 * score * slope / (2.0 * slope * slope - score * curv))
+        leaves = np.array([not 1e-3 < c < 1e3 for c in first])
+        assert leaves.sum() >= 10
+        monkeypatch.setattr(estimation, "_MOMENT_CONST", 1e-9)
+        phi, _, converged, _ = solve_weibull_shape(rows)
+        assert converged.all()
+        assert np.allclose(phi, expected, rtol=1e-11, atol=0.0)
+
+    def test_matches_brentq_and_the_newton_solver(self):
+        rng = np.random.default_rng(43)
+        for n in (5, 20, 50, 200):
+            for sign in (1.0, -1.0):  # the Frechet fit solves the mirrored rows
+                regular = np.concatenate([
+                    sign * np.log(rng.weibull(shape, (20, n))) for shape in (0.3, 1.0, 3.0)
+                ])
+                edge = np.array([
+                    np.full(n, 1.5),
+                    2.0 + 1e-4 * rng.standard_normal(n),
+                    rng.choice([-3000.0, 3000.0], n),
+                    np.log(rng.weibull(300.0, n)),
+                    np.r_[np.zeros(n - 1), 50.0],
+                ])
+                rows = np.concatenate([regular, edge])
+                phi, log_scale, converged, iterations = solve_weibull_shape(rows)
+                _, newton_converged, newton_iterations = newton_weibull_shape(rows)
+                assert np.array_equal(converged, newton_converged)
+                assert converged[:len(regular)].all()
+                assert iterations[converged].mean() < newton_iterations[converged].mean()
+                roots = np.array([_brentq_root(row) for row in regular])
+                assert np.allclose(phi[:len(regular)], roots, rtol=1e-11, atol=0.0)
+                # log c = log(mean x^phi)/phi at the fitted phi, by a direct sum.
+                direct = [math.log(math.fsum(np.exp(p * row)) / n) / p
+                          for row, p in zip(rows[converged], phi[converged])]
+                assert np.allclose(log_scale[converged], direct, rtol=1e-13, atol=1e-13)
 
 
 class TestStandardize:

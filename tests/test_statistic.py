@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -7,9 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.chebyshev import chebval
 
 from mincf.errors import DomainError
-from mincf.estimation import mle, standardize
+from mincf.estimation import fit_batch, mle, standardize
 from mincf.families import Family, ParamPair, parse_alternative, sample_alternative, sample_null
 from mincf.stat import (
     _kernel_sum,
@@ -230,6 +232,30 @@ class TestLambdaTable:
         scale = max(1.0, lambda_complete(family, gamma))
         assert np.max(np.abs(fast - ref)) < 5e-10 * scale
 
+    @pytest.mark.parametrize("gamma", [0.001, 0.5, 1.0, 5.0, 1000.0])
+    def test_clenshaw_matches_per_panel_chebval(self, gamma):
+        # The panels are evaluated by one recurrence over all values, each
+        # reading its own panel's coefficients; chebval on each panel alone
+        # is the reference, at the range ends and on every panel edge too.
+        table = lambda_table(Family.WEIBULL, gamma)
+        m = len(table.coeffs)  # perfbench's layer replay counts panels this way
+        assert table.coeffs.shape == (m, 15)
+        assert math.isclose(table.u_lo + m * table.h, math.log(table.z_hi), rel_tol=1e-14)
+        edges = np.exp(table.u_lo + table.h * np.arange(m + 1))
+        inner = np.exp(np.random.default_rng(7).uniform(table.u_lo, math.log(table.z_hi), 3000))
+        z = np.concatenate([[table.z_lo, table.z_hi], edges, inner])
+        z = z[(z >= table.z_lo) & (z <= table.z_hi)]
+        # A table whose u_lo sits one ulp above log z_lo: z_lo's log then
+        # rounds below u_lo and must still be read from panel 0.
+        shifted = dataclasses.replace(table, u_lo=np.nextafter(table.u_lo, np.inf))
+        assert (np.log(table.z_lo) - shifted.u_lo) < 0
+        scale = max(1.0, table.lam_inf)
+        for tab in (table, shifted):
+            x = (np.log(z) - tab.u_lo) / tab.h
+            panel = np.clip(np.floor(x), 0, m - 1).astype(int)
+            ref = np.array([chebval(2.0 * (v - k) - 1.0, tab.coeffs[k]) for v, k in zip(x, panel)])
+            assert np.max(np.abs(tab(z) - ref)) <= 1e-15 * scale
+
     def test_monotone_increasing(self):
         table = lambda_table(Family.FRECHET, 1.0)
         z = np.geomspace(1e-6, 1e6, 400)
@@ -358,6 +384,17 @@ class TestStatistic:
                 fast = batch_statistics(family, g, rows)
                 ref = np.array([statistic(family, row, g).value for row in rows])
                 assert np.max(np.abs(fast - ref)) < 1e-13 * max(1.0, np.max(ref))
+
+    @pytest.mark.parametrize("n", [20, 50, 200])
+    def test_weibull_null_statistics_stay_positive_at_gamma_100(self, n):
+        # The exact T falls off faster than any power of 1/gamma while n*L
+        # falls as 1/gamma^3; at gamma = 100 null rows read about 1e-14,
+        # still far above the rounding of the three terms (near 1e-20).
+        x = sample_null(Family.WEIBULL, ParamPair(1.0, 1.0), (200, n), np.random.default_rng(106))
+        c, phi, ok, _ = fit_batch(Family.WEIBULL, x)
+        assert ok.all()
+        stats = batch_statistics(Family.WEIBULL, 100.0, (x / c[:, None]) ** phi[:, None])
+        assert np.all(stats > 0)
 
     def test_rejects_non_finite_values(self):
         # This Pareto fit overflows to Y = inf; it must fail on the input
