@@ -33,7 +33,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
         p.add_argument("--workers", type=int, default=available_cpus(),
                        help="processes for the simulation (default: usable CPUs)")
         p.add_argument("--cache-dir", default=_DEFAULT_CACHE,
@@ -51,6 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--gamma", default="0.5,1,5", help=gamma_help)
     p_test.add_argument("--replicates", type=int, default=10000,
                         help="Monte Carlo null replicates (default 10000)")
+    p_test.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     common(p_test)
 
     p_cv = sub.add_parser("critvals", help="tabulate Monte Carlo critical values")
@@ -59,6 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cv.add_argument("--gamma", default="0.5,1,5", help=gamma_help)
     p_cv.add_argument("--alpha", default="0.10,0.05,0.01")
     p_cv.add_argument("--replicates", type=int, default=20000)
+    p_cv.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     common(p_cv)
 
     p_ps = sub.add_parser("power-study", help="run a power study from a JSON config")

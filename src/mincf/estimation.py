@@ -39,13 +39,6 @@ class Estimate:
     log_likelihood: float
 
 
-def _logsumexp(a, axis=None):
-    """log(sum(exp(a))) along ``axis``, shifted by the finite maximum so it cannot overflow."""
-    m = np.max(a, axis=axis, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    return np.log(np.sum(np.exp(a - m), axis=axis)) + np.squeeze(m, axis=axis)
-
-
 def _weibull_moments(phi, d):
     """Sum of the weights e^(phi d) and the first three moments of d under
     them, batched.
@@ -170,15 +163,19 @@ def fit_batch(family: Family, x: np.ndarray):
 
 
 def _log_likelihood(family: Family, x: np.ndarray, c: float, phi: float) -> float:
+    """The log-likelihood at the MLE (c, phi) of the sample x.
+
+    For Weibull and Frechet, c is log(mean (x^(+-phi)))/(+-phi) at the fitted
+    phi, so sum (x/c)^(+-phi) = n.
+    """
     n = x.size
     logs = np.log(x)
     if family is Family.PARETO:
         return n * np.log(phi) + n * phi * np.log(c) - (phi + 1.0) * logs.sum()
     if family in (Family.WEIBULL, Family.FRECHET):
         sign = 1.0 if family is Family.WEIBULL else -1.0  # the mirror of fit_batch
-        power_sum = np.exp(_logsumexp(sign * phi * (logs - np.log(c))))
         return (n * np.log(phi) - sign * n * phi * np.log(c)
-                + (sign * phi - 1.0) * logs.sum() - power_sum)
+                + (sign * phi - 1.0) * logs.sum() - n)
     raise DomainError(f"unknown family {family!r}")
 
 

@@ -105,8 +105,7 @@ def bessel_k(order: float, argument: float) -> float:
 
 
 #: Taylor coefficients of Ein(x) = E1(x) + EULER_GAMMA + log x, (-1)^(k+1)/(k k!) to
-#: k = 26 (A&S 5.1.11): the series for x <= 1, and the Ein part of the Frechet lam
-#: series in :mod:`mincf.stat`.
+#: k = 26 (A&S 5.1.11): the series for x <= 1.
 _E1_SERIES = np.array([0.0] + [(-1.0) ** (k + 1) / (k * math.factorial(k)) for k in range(1, 27)])
 #: Depth of the continued fraction used above x = 4.
 _E1_CF_DEPTH = 24

@@ -13,12 +13,16 @@ lam(z)/z at z -> 0 and Pareto's constant c1 - have one route,
 :func:`_psi0_integral`: a fixed Gauss-Legendre rule over a positive integrand.
 
 lam has one production route, the cached vectorized :func:`lambda_table`,
-serving the observed :func:`statistic` and the engine's :func:`batch_statistics`;
-:class:`LambdaTable` is its one switch on the family:
+serving the observed :func:`statistic` and the engine's :func:`batch_statistics`.
+For large z every family takes lam = lam_inf - C(z), with the bounded
+complement C(z) = int_0^(1/z) (1 - t z) psi0(t) e^(-gamma t) dt, so lam is as
+exact as lam_inf. :class:`LambdaTable` is the one switch on the family:
 
 * Pareto and Frechet - closed forms through E1 and regularized incomplete
-  gammas. Where those forms cancel (small 1/z or gamma/z), both integrate
-  power series term by term through one Horner helper, :func:`_series_moment`.
+  gammas. Where those cancel (gamma/z <= 1), C's power series is integrated
+  term by term through one Horner helper, :func:`_series_complement`. Beyond
+  that, Pareto's C for z > 1 is closed too; for Pareto below z = 1 and for
+  Frechet at 1/z > min(4, 1/gamma) the closed form is lam itself.
 * Weibull - int t^2 e^(-1/t - gamma t) dt has no elementary form, so
   Chebyshev panels on a uniform grid in log z are fitted once per gamma to
   a composite Gauss-Legendre rule and evaluated by one Clenshaw recurrence
@@ -45,7 +49,7 @@ from numpy.polynomial import polynomial as _poly
 
 from .errors import GAMMA_MAX, GAMMA_MIN, DomainError
 from .families import Family, null_min_cf
-from .special import _E1_SERIES, EULER_GAMMA, exp_integral_e1, gammainc23, gammaincc23
+from .special import EULER_GAMMA, exp_integral_e1, gammainc23, gammaincc23
 
 
 @functools.cache
@@ -148,33 +152,49 @@ def l_constant(family: Family, gamma: float) -> float:
 # lam(z): the closed forms of Pareto and Frechet.
 # ---------------------------------------------------------------------------
 
-def _frechet_lambda(g, z):
+#: Taylor coefficients of B(t) = psi0(t)/t + log t = (1 - e^(-t))/t + Ein(t) - EULER_GAMMA
+#: for Frechet: 1 - EULER_GAMMA, then (-1)^(k+1)/(k (k+1)!) to k = 26, as far as
+#: special's series of Ein. Pareto's B on t <= 1 is 1.
+_FRECHET_SERIES = np.array(
+    [1.0 - EULER_GAMMA] + [(-1.0) ** (k + 1) / (k * math.factorial(k + 1)) for k in range(1, 27)]
+)
+
+
+def _series_complement(g, a, b):
+    """C = int_0^a (1 - t/a) psi0(t) e^(-g t) dt for psi0(t) = t (B(t) - log t) on [0, a].
+
+    With e_k = (-g)^k/k!, d the coefficients of B(t) e^(-g t) (b convolved
+    with e) and r_k = 1/((k + 2)(k + 3)), term by term
+    C = a^2 [sum (d_k r_k + (2k + 5) e_k r_k^2) a^k - log a sum e_k r_k a^k]: two Horner sums.
+    """
+    k = np.arange(_FRECHET_SERIES.size, dtype=float)
+    e = (-g) ** k / np.cumprod(np.maximum(k, 1.0))
+    d = np.convolve(b, e)[:k.size]
+    r = 1.0 / ((k + 2.0) * (k + 3.0))
+    return a * a * (
+        _poly.polyval(a, d * r + (2.0 * k + 5.0) * e * r * r) - np.log(a) * _poly.polyval(a, e * r)
+    )
+
+
+def _frechet_lambda(g, z, lam_inf):
     """Frechet lam(z), psi0(t) = 1 - e^(-t) + t E1(t), vectorized over z > 0.
 
-    With a = 1/z and I_k(a) = int_0^a t^k e^(-g t) E1(t) dt,
-    lam = _frechet_lambda_closed(g, z) + z I_2(a) + int_a^inf t e^(-g t) E1(t) dt,
-    the first term being the elementary part from 1 - e^(-t).
-    Integrating by parts against E1'(t) = -e^(-t)/t writes I_k and the tail
-    through E1 and regularized incomplete gammas. That form cancels for
-    small a and small g a, so for a <= min(0.5, 2/g), and for g a <= 0.1 up
-    to a = 4 (as far as the 27 Ein terms hold), the series
-    e^(-g t) E1(t) = e^(-g t) (Ein(t) - EULER_GAMMA) - e^(-g t) log t is
-    integrated term by term instead.
+    With a = 1/z and I_k(a) = int_0^a t^k e^(-g t) E1(t) dt, lam is
+    z(1 - e^(-g/z))/g^2 - z(1 - e^(-(1+g)/z))/(1+g)^2 (the part from 1 - e^(-t))
+    + z I_2(a) + int_a^inf t e^(-g t) E1(t) dt. Integrating by parts against
+    E1'(t) = -e^(-t)/t writes I_k and the tail through E1 and regularized
+    incomplete gammas. That form cancels for small a and small g a, so where
+    g a <= 1, up to a = 4 (as far as the 27 series terms hold),
+    lam = lam_inf - _series_complement(g, a, _FRECHET_SERIES) instead.
     """
     a = 1.0 / z
-    out = _frechet_lambda_closed(g, z)
-    r = g / (1.0 + g)
-    series = a <= min(max(0.5, 0.1 / g), 2.0 / g, 4.0)
-    if np.any(series):
-        m1 = (math.log1p(g) - r) / g ** 2
-        a_s = a[series]
-        e = _exp_series(g)
-        b = np.convolve(_E1_SERIES, e)[:e.size] - EULER_GAMMA * e
-        out[series] += (z[series] * _series_moment(a_s, 2, b, -e)
-                        + m1 - _series_moment(a_s, 1, b, -e))
+    out = np.empty_like(z)
+    series = a <= min(4.0, 1.0 / g)
+    out[series] = lam_inf - _series_complement(g, a[series], _FRECHET_SERIES)
     big = ~series
     if np.any(big):
-        a_b = a[big]
+        z_b, a_b = z[big], a[big]
+        r = g / (1.0 + g)
         e1a = exp_integral_e1(a_b)
         e1b = exp_integral_e1((1.0 + g) * a_b)
         q = np.exp(-(1.0 + g) * a_b)
@@ -184,21 +204,8 @@ def _frechet_lambda(g, z):
             math.log1p(g) - q3 * e1a + e1b - r * (1.0 - q) - 0.5 * r * r * p2
         ) / g ** 3
         tail1 = (q2 * e1a - e1b - r * q) / g ** 2
-        out[big] += z[big] * i2 + tail1
-    return out
-
-
-def _frechet_lambda_closed(g, z):
-    """z(1 - e^(-g/z))/g^2 - z(1 - e^(-(1+g)/z))/(1+g)^2."""
-    return (-z * np.expm1(-g / z)) / g ** 2 + (z * np.expm1(-(1.0 + g) / z)) / (1.0 + g) ** 2
-
-
-def _pareto_lambda(g, z):
-    """Pareto lam(z), psi0(t) = t(1 - log t) for t <= 1 and 1 beyond, over z > 0."""
-    out = np.empty_like(z)
-    low = z <= 1.0
-    out[low] = _pareto_lambda_low(g, z[low])
-    out[~low] = _pareto_lambda_high(g, z[~low])
+        out[big] = ((-z_b * np.expm1(-g / z_b)) / g ** 2
+                    + (z_b * np.expm1(-(1.0 + g) / z_b)) / (1.0 + g) ** 2 + z_b * i2 + tail1)
     return out
 
 
@@ -208,62 +215,43 @@ def _pareto_c1(g):
     return _psi0_integral(Family.PARETO, g, 1, 1, top=0)
 
 
-def _pareto_lambda_low(g, z):
-    """Pareto branch for z <= 1: lam = z c1 + z (e^(-g)(1 + g) - e^(-g/z))/g^2."""
-    return z * _pareto_c1(g) + z * (math.exp(-g) * (1.0 + g) - np.exp(-g / z)) / (g * g)
+def _pareto_lambda(g, z, lam_inf):
+    """Pareto lam(z), psi0(t) = t(1 - log t) for t <= 1 and 1 beyond, over z > 0.
 
-
-def _pareto_lambda_high(g, z):
-    """Pareto branch for z > 1, through the log moments L_p(a) = int_0^a t^p log t e^(-g t) dt.
-
-    With a = 1/z, lam = t1 + t2 - e^(-g)/g^2 - z L_2(a) - (L_1(1) - L_1(a)). L_1 and
-    L_2 are closed forms through E1(g a), e^(-g a) and log a, which cancel for
-    small a and for small g a, so for a <= min(0.25, 1/g) and wherever
-    g a <= 0.1 the exponential series is integrated term by term instead.
+    For z <= 1, lam = z c1 + z (e^(-g)(1 + g) - e^(-g/z))/g^2, the bracket taken
+    as e^(-g)(g - expm1(g - g/z)): exact at z = 1, where it cancels and where
+    every MLE-standardized row has its minimum. Above, lam = lam_inf - C(z).
     """
-    a = 1.0 / z
-    l1_full = (1.0 - EULER_GAMMA - math.log(g) - math.exp(-g) - exp_integral_e1(g)) / g ** 2
-    l1, l2 = np.empty_like(a), np.empty_like(a)
-    small = a <= min(max(0.25, 0.1 / g), 1.0 / g)
-    if np.any(small):
-        e = _exp_series(g)
-        l1[small] = _series_moment(a[small], 1, 0.0, e)
-        l2[small] = _series_moment(a[small], 2, 0.0, e)
+    out = np.empty_like(z)
+    low = z <= 1.0
+    zl = z[low]
+    out[low] = zl * _pareto_c1(g) + zl * (math.exp(-g) * (g - np.expm1(g - g / zl))) / (g * g)
+    out[~low] = lam_inf - _pareto_complement(g, 1.0 / z[~low])
+    return out
+
+
+def _pareto_complement(g, a):
+    """Pareto's C = int_0^a (1 - t/a) t (1 - log t) e^(-g t) dt for a = 1/z < 1.
+
+    C = M_1 - M_2/a with M_p = int_0^a t^p (1 - log t) e^(-g t) dt, the
+    incomplete moment of e^(-g t) minus the log moment
+    L_p(a) = int_0^a t^p log t e^(-g t) dt. Both are closed forms through
+    e^(-g a), E1(g a) and log a, which cancel for small g a, so wherever
+    g a <= 1 the series is taken instead.
+    """
+    out = np.empty_like(a)
+    small = g * a <= 1.0
+    out[small] = _series_complement(g, a[small], [1.0])
     ab = a[~small]
-    ga = g * ab
-    ega, la, e1 = np.exp(-ga), np.log(ab), exp_integral_e1(ga)
-    l1[~small] = (-ega * (ga + 1.0) * la - ega - e1) / g ** 2 - (
-        -(1.0 - EULER_GAMMA - math.log(g)) / g ** 2
-    )
-    l2[~small] = (
-        -ega * (ga * ga + 2.0 * ga + 2.0) * la
-        - (ega * (ga + 3.0) + 2.0 * e1)
-        + (3.0 - 2.0 * math.log(g) - 2.0 * EULER_GAMMA)
-    ) / g ** 3
-    # Built after the moments, so fewer (B, n) temporaries are alive at once.
-    u = g / z
-    eu = np.exp(-u)
-    t1 = (-2.0 * z * np.expm1(-u) - eu * (2.0 * g + g * g / z)) / g ** 3
-    t2 = eu * (g + z) / (g * g * z)
-    return t1 + t2 - math.exp(-g) / g ** 2 - z * l2 - (l1_full - l1)
-
-
-def _exp_series(g):
-    """Taylor coefficients (-g)^k/k! of e^(-g t), as many as special._E1_SERIES has."""
-    k = np.arange(len(_E1_SERIES), dtype=float)
-    return (-g) ** k / np.cumprod(np.maximum(k, 1.0))
-
-
-def _series_moment(a, p, b, c):
-    """int_0^a t^p (B(t) + C(t) log t) dt for power series B, C with coefficients b, c.
-
-    Term by term, with q_k = p + k + 1, this is
-    a^(p+1) [sum (b_k/q_k - c_k/q_k^2) a^k + log a sum (c_k/q_k) a^k]: two Horner sums.
-    """
-    q = p + 1.0 + np.arange(len(c))
-    return a ** (p + 1.0) * (
-        _poly.polyval(a, b / q - c / q ** 2) + np.log(a) * _poly.polyval(a, c / q)
-    )
+    x = g * ab
+    ex, la, e1 = np.exp(-x), np.log(ab), exp_integral_e1(x)
+    em = -np.expm1(-x)
+    # g^2 M_1 and g^3 M_2; the constants are g^2 L_1 and g^3 L_2 at a = inf.
+    first = em + ex * ((x + 1.0) * la + 1.0 - x) + e1 - (1.0 - EULER_GAMMA - math.log(g))
+    second = (2.0 * (em + e1) + ex * ((x * x + 2.0 * x + 2.0) * la + 3.0 - x - x * x)
+              - (3.0 - 2.0 * math.log(g) - 2.0 * EULER_GAMMA))
+    out[~small] = (first - second / x) / g ** 2
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -307,9 +295,9 @@ class LambdaTable:
         if self.family is Family.WEIBULL:
             out = self._weibull(z)
         elif self.family is Family.PARETO:
-            out = _pareto_lambda(self.gamma, z)
+            out = _pareto_lambda(self.gamma, z, self.lam_inf)
         else:
-            out = _frechet_lambda(self.gamma, z)
+            out = _frechet_lambda(self.gamma, z, self.lam_inf)
         return float(out[0]) if scalar else out
 
     def _weibull(self, z):
@@ -394,38 +382,39 @@ def lambda_table(family: Family, gamma: float) -> LambdaTable:
 # Statistic assembly.
 # ---------------------------------------------------------------------------
 
+def _terms(family: Family, g: float, y: np.ndarray):
+    """(sum K / n, n L, 2 sum lam) for every row of the (B, n) matrix y.
+
+    The double sum from :func:`_kernel_sum`, lam from :func:`lambda_table`
+    and L from :func:`l_constant`, in O(B n log n) time and O(B n) memory.
+    """
+    b, n = y.shape
+    lam = lambda_table(family, g)(y.reshape(-1)).reshape(b, n).sum(axis=1)
+    return _kernel_sum(g, y) / n, n * l_constant(family, g), 2.0 * lam
+
+
 def statistic(family: Family, y, gamma: float) -> StatisticBreakdown:
     """Assemble the test statistic from the 1-D array ``y`` of standardized values.
 
-    Same terms as :func:`batch_statistics`: the double sum from
-    :func:`_kernel_sum`, lam from :func:`lambda_table` and L from
-    :func:`l_constant`.
+    The one-row case of :func:`batch_statistics`, with the input checked and
+    the three terms kept.
     """
     g = _check_gamma(gamma)
     y = np.asarray(y, dtype=float)
-    n = y.size
-    if n < 3:
+    if y.size < 3:
         raise DomainError("statistic needs n >= 3")
     if not np.all((y > 0) & np.isfinite(y)):
         raise DomainError("standardized values must be positive and finite")
 
-    double_sum = float(_kernel_sum(g, y)) / n
-    lambda_sum = 2.0 * lambda_table(family, g)(y).sum()
-    n_times_l = n * l_constant(family, g)
-    value = double_sum + n_times_l - lambda_sum
+    double_sum, n_times_l, lambda_sum = _terms(family, g, y.reshape(1, -1))
+    double_sum, lambda_sum = float(double_sum[0]), float(lambda_sum[0])
     return StatisticBreakdown(
-        double_sum=double_sum, n_times_l=n_times_l, lambda_sum=lambda_sum, value=value
+        double_sum=double_sum, n_times_l=n_times_l, lambda_sum=lambda_sum,
+        value=double_sum + n_times_l - lambda_sum,
     )
 
 
 def batch_statistics(family: Family, gamma: float, y: np.ndarray) -> np.ndarray:
-    """Statistic values for every row of a (B, n) standardized matrix.
-
-    The terms of :func:`statistic` row by row, in O(B n log n) time and
-    O(B n) memory.
-    """
-    g = _check_gamma(gamma)
-    y = np.asarray(y, dtype=float)
-    b, n = y.shape
-    lam = lambda_table(family, g)(y.reshape(-1)).reshape(b, n).sum(axis=1)
-    return _kernel_sum(g, y) / n + n * l_constant(family, g) - 2.0 * lam
+    """Statistic values for every row of a (B, n) standardized matrix."""
+    double_sum, n_times_l, lambda_sum = _terms(family, _check_gamma(gamma), np.asarray(y, float))
+    return double_sum + n_times_l - lambda_sum

@@ -7,8 +7,10 @@ when it runs. These tests resolve those names in the suite instead.
 """
 import os
 
+import numpy as np
 import pytest
 
+import mincf
 from mincf import Family, simulation, special, stat
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
@@ -59,3 +61,16 @@ def test_layer_replay_names_resolve(tracing):
     for family in Family:
         len(stat.lambda_table(family, 1.0).coeffs)  # layers.py counts panels so
         assert stat.l_constant(family, 1.0) > 0
+
+
+def test_statistic_call_shapes_resolve():
+    # layers.py scores a (64, n) matrix positionally as (family, gamma, rows);
+    # gate.py reads .value of the package root's statistic(family, y, gamma).
+    rows = np.random.default_rng(0).standard_exponential((64, 20))
+    stats = stat.batch_statistics(Family.WEIBULL, 1.0, rows)
+    assert stats.shape == (64,)
+    for family in Family:
+        value = mincf.statistic(family, rows[0], 1.0).value
+        assert isinstance(value, float)
+        assert value == stat.statistic(family, rows[0], 1.0).value
+    assert stat.statistic(Family.WEIBULL, rows[0], 1.0).value == stats[0]

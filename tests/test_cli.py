@@ -346,6 +346,16 @@ class TestPowerStudyCommand:
         assert csvs[0] == csvs[1]
         assert len(csvs[0].splitlines()) == 1 + 2 * 2 * 2
 
+    def test_seed_option_is_a_usage_error(self, tmp_path, capsys):
+        # The study seed is the config's "seed"; a --seed flag would be ignored.
+        cfg_path = tmp_path / "study.json"
+        cfg_path.write_text(json.dumps({"families": ["weibull"], "alternatives": ["LN(1)"],
+                                        "replicates": 200, "seed": 1}))
+        with pytest.raises(SystemExit) as exc:
+            main(["power-study", "--config", str(cfg_path), "--no-cache", "--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
     def test_invalid_alternative_exits_2_naming_it(self, tmp_path, capsys):
         cfg_path = tmp_path / "study.json"
         cfg_path.write_text(json.dumps({

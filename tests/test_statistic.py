@@ -269,8 +269,8 @@ class TestClosedFormLambda:
     sides of z = 1) and Frechet, so TestLambdaTable cannot catch an error in
     them; for Weibull this checks the panels and both asymptotic branches
     without the adaptive quadrature. The z grid straddles every branch switch: z = 1 and
-    z = max(min(4, 10 gamma), gamma) for Pareto, z = max(min(2, 10 gamma),
-    gamma/2, 1/4) for Frechet, the panel range [gamma/40, 40] for Weibull.
+    z = gamma for Pareto, z = max(1/4, gamma) for Frechet, the panel range
+    [gamma/40, 40] for Weibull.
     """
 
     Z = np.geomspace(1e-8, 1e8, 33)
@@ -299,6 +299,15 @@ class TestClosedFormLambda:
         ref = np.array([self._oracle(Family.PARETO, gamma, v) for v in z])
         got = lambda_table(Family.PARETO, gamma)(z)
         assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, lambda_complete(Family.PARETO, gamma))
+
+    @pytest.mark.parametrize("gamma", [0.001, 0.01])
+    def test_pareto_above_the_kink_at_small_gamma(self, gamma):
+        # lam = lam_inf - C(z) with C bounded; closed forms that rebuilt parts
+        # of lam_inf inside lam lost 4.8e-13 * max(1, lam_inf) here at g = 0.001.
+        z = np.concatenate([[1.0], self.Z[self.Z > 1.0]])
+        ref = np.array([self._oracle(Family.PARETO, gamma, v) for v in z])
+        got = lambda_table(Family.PARETO, gamma)(z)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * max(1.0, lambda_complete(Family.PARETO, gamma))
 
     @pytest.mark.parametrize("z", [1e-8, 1e-3])
     def test_weibull_reference_at_large_gamma(self, z):
@@ -337,6 +346,17 @@ class TestStatistic:
                 y = _standardized(family, n, rng)
                 direct = statistic_direct(family, y, gamma)
                 assert abs(statistic(family, y, gamma).value - direct) <= 1e-6 * direct
+
+    @pytest.mark.parametrize("gamma", [0.01, 0.001])
+    def test_pareto_oracle_equivalence_at_small_gamma(self, gamma):
+        # The small-gamma test's samples at 1e-8: with lam = lam_inf - C(z),
+        # Pareto's T stays within 1.4e-9 of the defining integral at g = 0.001.
+        rng = np.random.default_rng(113)
+        for n in (20, 50):
+            for _ in range(4):
+                y = _standardized(Family.PARETO, n, rng)
+                direct = statistic_direct(Family.PARETO, y, gamma)
+                assert abs(statistic(Family.PARETO, y, gamma).value - direct) <= 1e-8 * direct
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_pipeline_invariance(self, family):
