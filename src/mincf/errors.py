@@ -6,7 +6,7 @@ in its help text without loading numpy.
 
 #: The weights gamma the statistic is checked for against mpmath. Below them
 #: T = sum K/n + n L - 2 sum lam cancels terms of order n/gamma down to O(1),
-#: so the per-value lam error of Frechet's closed form (1/z > 4) dominates T.
+#: so a per-value error in lam or L shows in T magnified by about n/(gamma T).
 GAMMA_MIN, GAMMA_MAX = 1e-3, 1e3
 
 

@@ -1,7 +1,7 @@
 """Special functions of the statistic's closed forms.
 
 The closed forms of the statistic need the exponential integral E1 and the
-regularized incomplete gammas at orders 2 and 3. Each has a short numpy form
+regularized lower incomplete gammas at orders 2 and 3. Each has a short numpy form
 here, within 5e-15 relative of mpmath over the arguments the statistic
 produces, so the production route imports no scipy: E1 by series, Chebyshev
 table and continued fraction, and the incomplete gammas by their finite sums.
@@ -52,17 +52,6 @@ def gammainc23(x):
     p3[small] = es * xs * xs * xs * _poly.polyval(xs, _P3_SERIES)
     p2[small] = p3[small] + 0.5 * es * xs * xs
     return p2.reshape(shape), p3.reshape(shape)
-
-
-def gammaincc23(x):
-    """Regularized upper incomplete gammas (Q(2, x), Q(3, x)) for x >= 0, elementwise.
-
-    Q(n+1, x) = e^(-x) sum_(k<=n) x^k/k! (DLMF 8.4.11), a sum of positive terms.
-    """
-    x = _clamp(x)
-    e = np.exp(-x)
-    q2 = e * (1.0 + x)
-    return q2, q2 + 0.5 * e * x * x
 
 
 #: Largest argument before exp(-z) underflows double precision headroom.

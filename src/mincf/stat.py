@@ -8,26 +8,26 @@ with K(z1,z2) = int min(1,t z1) min(1,t z2) e^(-gamma t) dt (family-free,
 closed form, double sum in O(n log n) by :func:`_kernel_sum`), L = int
 psi0(t)^2 e^(-gamma t) dt and lam(z) = int min(1,t z) psi0(t) e^(-gamma t) dt.
 
-The per-gamma integrals of psi0 - L, lam's limit lam_inf, Weibull's slope
-lam(z)/z at z -> 0 and Pareto's constant c1 - have one route,
-:func:`_psi0_integral`: a fixed Gauss-Legendre rule over a positive integrand.
+The per-gamma integrals of psi0 - L, lam's limit lam_inf, the slope
+lam(z)/z at z -> 0 and Pareto's constant c1 - have one route: a fixed
+Gauss-Legendre rule over a positive integrand on :func:`_geometric_edges`,
+by :func:`_psi0_integral` (the slope as the panel build's last running sum).
 
 lam has one production route, the cached vectorized :func:`lambda_table`,
 serving the observed :func:`statistic` and the engine's :func:`batch_statistics`.
 For large z every family takes lam = lam_inf - C(z), with the bounded
 complement C(z) = int_0^(1/z) (1 - t z) psi0(t) e^(-gamma t) dt, so lam is as
-exact as lam_inf. :class:`LambdaTable` is the one switch on the family:
+exact as lam_inf. :class:`LambdaTable` tests the family once:
 
-* Pareto and Frechet - closed forms through E1 and regularized incomplete
-  gammas. Where those cancel (gamma/z <= 1), C's power series is integrated
-  term by term through one Horner helper, :func:`_series_complement`. Beyond
-  that, Pareto's C for z > 1 is closed too; for Pareto below z = 1 and for
-  Frechet at 1/z > min(4, 1/gamma) the closed form is lam itself.
-* Weibull - int t^2 e^(-1/t - gamma t) dt has no elementary form, so
-  Chebyshev panels on a uniform grid in log z are fitted once per gamma to
-  a composite Gauss-Legendre rule and evaluated by one Clenshaw recurrence
-  over all values, with the exact linear asymptote below the panels and an
-  analytic tail above them.
+* Pareto - a closed form: z c1 plus an elementary term for z <= 1, and C
+  through E1 for z > 1, by its power series where gamma/z <= 1
+  (:func:`_series_complement`, one Horner helper).
+* Weibull and Frechet - one panel build. Chebyshev panels on a uniform grid
+  in log z are fitted once per gamma to lam_inf - C(z), with C from running
+  sums of per-piece Gauss-Legendre integrals plus one partial piece, and
+  evaluated by one Clenshaw recurrence over all values. Below the panels
+  the exact linear asymptote applies; above them a closed tail: Weibull's
+  through incomplete gammas, Frechet's by :func:`_series_complement`.
 
 Every public function takes gamma in [GAMMA_MIN, GAMMA_MAX] = [0.001, 1000], the
 range the tests check lam and L against mpmath, and raises DomainError outside it.
@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,7 +50,7 @@ from numpy.polynomial import polynomial as _poly
 
 from .errors import GAMMA_MAX, GAMMA_MIN, DomainError
 from .families import Family, null_min_cf
-from .special import EULER_GAMMA, exp_integral_e1, gammainc23, gammaincc23
+from .special import EULER_GAMMA, exp_integral_e1, gammainc23
 
 
 @functools.cache
@@ -71,8 +72,13 @@ def _gauss_legendre(f, edges):
     return (hw[..., None] * weights * f(t)).sum(axis=(-2, -1))
 
 
-def _geometric_edges(top):
-    """Pieces 0, 4^-12, ..., 4^top: ratio 4 keeps a log t singularity at 0 far off each."""
+def _geometric_edges(g, top=None):
+    """Pieces 0, 4^-12, ..., 4^top: ratio 4 keeps a log t singularity at 0 far off each.
+
+    By default 4^top is the first power of 4 past 60/g, where e^(-g t) is below e^(-60).
+    """
+    if top is None:
+        top = max(-12, math.ceil(0.5 * math.log2(60.0 / g)))
     return np.concatenate(([0.0], 4.0 ** np.arange(-12, top + 1)))
 
 
@@ -127,14 +133,11 @@ def _kernel_sum(g: float, y: np.ndarray) -> np.ndarray:
 def _psi0_integral(family: Family, g: float, k: int, p: int, top: int | None = None) -> float:
     """int_0^(4^top) t^k psi0(t)^p e^(-g t) dt by :func:`_gauss_legendre` on geometric pieces.
 
-    By default 4^top is the first power of 4 past 60/g, where e^(-g t) is
-    below e^(-60). The pieces put the log t singularity of Pareto and Frechet
-    at 0 and Pareto's kink at t = 1 on their edges.
+    The pieces put the log t singularity of Pareto and Frechet at 0 and
+    Pareto's kink at t = 1 on their edges.
     """
-    if top is None:
-        top = max(-12, math.ceil(0.5 * math.log2(60.0 / g)))
     return float(_gauss_legendre(
-        lambda t: t ** k * null_min_cf(family, t) ** p * np.exp(-g * t), _geometric_edges(top)
+        lambda t: t ** k * null_min_cf(family, t) ** p * np.exp(-g * t), _geometric_edges(g, top)
     ))
 
 
@@ -149,7 +152,7 @@ def l_constant(family: Family, gamma: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# lam(z): the closed forms of Pareto and Frechet.
+# lam(z) = lam_inf - C(z) in closed form: above the panels, and Pareto's.
 # ---------------------------------------------------------------------------
 
 #: Taylor coefficients of B(t) = psi0(t)/t + log t = (1 - e^(-t))/t + Ein(t) - EULER_GAMMA
@@ -176,37 +179,10 @@ def _series_complement(g, a, b):
     )
 
 
-def _frechet_lambda(g, z, lam_inf):
-    """Frechet lam(z), psi0(t) = 1 - e^(-t) + t E1(t), vectorized over z > 0.
-
-    With a = 1/z and I_k(a) = int_0^a t^k e^(-g t) E1(t) dt, lam is
-    z(1 - e^(-g/z))/g^2 - z(1 - e^(-(1+g)/z))/(1+g)^2 (the part from 1 - e^(-t))
-    + z I_2(a) + int_a^inf t e^(-g t) E1(t) dt. Integrating by parts against
-    E1'(t) = -e^(-t)/t writes I_k and the tail through E1 and regularized
-    incomplete gammas. That form cancels for small a and small g a, so where
-    g a <= 1, up to a = 4 (as far as the 27 series terms hold),
-    lam = lam_inf - _series_complement(g, a, _FRECHET_SERIES) instead.
-    """
-    a = 1.0 / z
-    out = np.empty_like(z)
-    series = a <= min(4.0, 1.0 / g)
-    out[series] = lam_inf - _series_complement(g, a[series], _FRECHET_SERIES)
-    big = ~series
-    if np.any(big):
-        z_b, a_b = z[big], a[big]
-        r = g / (1.0 + g)
-        e1a = exp_integral_e1(a_b)
-        e1b = exp_integral_e1((1.0 + g) * a_b)
-        q = np.exp(-(1.0 + g) * a_b)
-        q2, q3 = gammaincc23(g * a_b)
-        p2, _ = gammainc23((1.0 + g) * a_b)
-        i2 = 2.0 * (
-            math.log1p(g) - q3 * e1a + e1b - r * (1.0 - q) - 0.5 * r * r * p2
-        ) / g ** 3
-        tail1 = (q2 * e1a - e1b - r * q) / g ** 2
-        out[big] = ((-z_b * np.expm1(-g / z_b)) / g ** 2
-                    + (z_b * np.expm1(-(1.0 + g) / z_b)) / (1.0 + g) ** 2 + z_b * i2 + tail1)
-    return out
+def _weibull_complement(g, a):
+    """Weibull's C for a = 1/z <= 1/40, where psi0(t) = t up to O(e^(-1/t)), below e^(-40)."""
+    p2, p3 = gammainc23(g * a)
+    return p2 / g ** 2 - 2.0 * p3 / (g ** 3 * a)
 
 
 @functools.cache
@@ -272,10 +248,10 @@ _MAX_PANELS = 256  # bounds one level's quadrature; gamma in range needs at most
 class LambdaTable:
     """Vectorized evaluator of lam(z) for one (family, gamma).
 
-    Pareto and Frechet evaluate their closed forms and carry no panels. For
-    Weibull, Chebyshev fits of lam(e^u) on len(coeffs) panels of width h
+    Pareto evaluates its closed form and carries no panels. For Weibull and
+    Frechet, Chebyshev fits of lam(e^u) on len(coeffs) panels of width h
     cover [u_lo, u_lo + h len(coeffs)] = [log z_lo, log z_hi]; below z_lo
-    the exact linear asymptote applies, above z_hi an analytic tail.
+    the exact linear asymptote applies, above z_hi lam = lam_inf - tail(gamma, 1/z).
     """
 
     family: Family
@@ -287,31 +263,26 @@ class LambdaTable:
     u_lo: float = math.nan
     h: float = math.nan
     coeffs: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
+    tail: Callable | None = None
 
     def __call__(self, z):
         z = np.asarray(z, dtype=float)
         scalar = z.ndim == 0
         z = np.atleast_1d(z)
-        if self.family is Family.WEIBULL:
-            out = self._weibull(z)
-        elif self.family is Family.PARETO:
+        if self.family is Family.PARETO:
             out = _pareto_lambda(self.gamma, z, self.lam_inf)
         else:
-            out = _frechet_lambda(self.gamma, z, self.lam_inf)
+            out = self._panels(z)
         return float(out[0]) if scalar else out
 
-    def _weibull(self, z):
+    def _panels(self, z):
         out = np.empty_like(z)
         lo = z < self.z_lo
         hi = z > self.z_hi
         mid = ~(lo | hi)
         out[lo] = self.slope * z[lo]
         if np.any(hi):
-            # psi0(t) = t up to O(e^(-1/t)), negligible beyond z_hi.
-            g = self.gamma
-            p2, p3 = gammainc23(g / z[hi])
-            corr = p2 / g ** 2 - 2.0 * z[hi] * p3 / g ** 3
-            out[hi] = self.lam_inf - corr
+            out[hi] = self.lam_inf - self.tail(self.gamma, 1.0 / z[hi])
         if np.any(mid):
             # Truncation, not floor: a log z rounded just below u_lo stays in panel 0.
             x = (np.log(z[mid]) - self.u_lo) / self.h
@@ -332,49 +303,57 @@ class LambdaTable:
 def lambda_table(family: Family, gamma: float) -> LambdaTable:
     """Build (and cache) the lam evaluator for one (family, gamma).
 
-    Only Weibull has panels to fit: its lam has no elementary closed form.
-    1, 2, 4, ... equal panels split [log(gamma/40), log 40], a level per
-    chebfit call, until each is within 1e-11 * max(1, lam_inf) of the
-    quadrature at 7 test points: up to 16 panels for gamma in [0.001, 1000].
+    Pareto's lam is closed. For Weibull and Frechet, 4, 8, 16, ... equal
+    panels split [log(gamma/40), log max(40, gamma)], a level per chebfit
+    call, until each is within 1e-13 * lam_inf of lam_inf - C(z) at 7 test
+    points: up to 16 panels for gamma in [0.001, 1000]. Past the top the
+    tail is closed: Weibull's psi0 is t there, and Frechet's series holds
+    for 1/z <= min(4, 1/gamma).
     """
     g = _check_gamma(gamma)
     lam_inf = lambda_complete(family, g)
-    if family is not Family.WEIBULL:
+    if family is Family.PARETO:
         return LambdaTable(family=family, gamma=g, lam_inf=lam_inf)
 
-    slope = _psi0_integral(family, g, 1, 1)  # lim lam(z)/z as z -> 0
-    z_lo, z_hi = g / 40.0, 40.0
-    tol = 1e-11 * max(1.0, lam_inf)
+    z_lo, z_hi = g / 40.0, max(40.0, g)
     u_lo, u_hi = math.log(z_lo), math.log(z_hi)
 
-    pieces = [0.0, 0.05, 0.2, 1.0, 4.0, 16.0]
-    while pieces[-1] < 1.0 / z_lo:  # ratio 4 up to 1/z_lo, as psi0 is singular at t = 0
-        pieces.append(4.0 * pieces[-1])
+    def weighted(t):
+        return null_min_cf(family, t) * np.exp(-g * t)
+
+    # C(z) = int_0^a (1 - z t) psi0(t) e^(-g t) dt at a = 1/z on _psi0_integral's
+    # pieces: the whole pieces below a from running sums of their integrals of
+    # psi0 e^(-g t) and t psi0 e^(-g t), the rest [edge_j, a] by one piece more.
+    edges = _geometric_edges(g)  # past 60/g, so past every a <= 1/z_lo
+    moments = _gauss_legendre(lambda t: weighted(t) * np.stack([np.ones_like(t), t]),
+                              np.stack([edges[:-1], edges[1:]], axis=-1))
+    cum0, cum1 = np.cumsum(np.pad(moments, ((0, 0), (1, 0))), axis=-1)
+    slope = float(cum1[-1])  # lim lam(z)/z as z -> 0
 
     def f(u):
-        # lam_inf minus int_0^(1/z) (1 - z t) psi0(t) e^(-g t) dt at every z at once, by
-        # Gauss-Legendre on `pieces` cut at 1/z: within 1e-15 * max(1, lam_inf) of
-        # the test oracle small_lambda for g in [0.001, 1000]. A last piece
-        # [16, 40/g] lost 5e-7 at g = 0.02.
-        z = np.exp(u)[..., None]
-        return lam_inf - _gauss_legendre(
-            lambda t: (1.0 - z[..., None] * t) * null_min_cf(Family.WEIBULL, t) * np.exp(-g * t),
-            np.minimum(pieces, 1.0 / z),
-        )
+        z = np.exp(u)
+        a = 1.0 / z
+        j = np.searchsorted(edges, a, side="right") - 1
+        rest = _gauss_legendre(lambda t: (1.0 - z[..., None, None] * t) * weighted(t),
+                               np.stack([edges[j], a], axis=-1))
+        return lam_inf - (cum0[j] - z * cum1[j] + rest)
 
     nodes = np.cos(np.arange(_CHEB_DEG + 1) * np.pi / _CHEB_DEG)
-    m = 1
+    x = np.concatenate([nodes, _CHEB_TEST])  # fit nodes, then test points: one f call a level
+    m = 4  # on a fine gamma grid no table met the tolerance with fewer
     while True:
         h = (u_hi - u_lo) / m
-        mids = u_lo + h * (np.arange(m) + 0.5)
-        coeffs = _cheb.chebfit(nodes, f(mids + 0.5 * h * nodes[:, None]), _CHEB_DEG)
-        err = _cheb.chebval(_CHEB_TEST, coeffs) - f(mids[:, None] + 0.5 * h * _CHEB_TEST)
-        if np.max(np.abs(err)) <= tol or m == _MAX_PANELS:
+        vals = f(u_lo + h * (np.arange(m) + 0.5) + 0.5 * h * x[:, None])
+        coeffs = _cheb.chebfit(nodes, vals[:nodes.size], _CHEB_DEG)
+        err = _cheb.chebval(_CHEB_TEST, coeffs) - vals[nodes.size:].T
+        if np.max(np.abs(err)) <= 1e-13 * lam_inf or m == _MAX_PANELS:
             break
         m *= 2
+    tail = (_weibull_complement if family is Family.WEIBULL
+            else functools.partial(_series_complement, b=_FRECHET_SERIES))
     return LambdaTable(
         family=family, gamma=g, lam_inf=lam_inf, z_lo=z_lo, z_hi=z_hi, slope=slope,
-        u_lo=u_lo, h=h, coeffs=coeffs.T,
+        u_lo=u_lo, h=h, coeffs=coeffs.T, tail=tail,
     )
 
 

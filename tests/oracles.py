@@ -6,7 +6,8 @@ fixed rules. The tests hold it to the routes here, which integrate the
 defining integrals adaptively through :func:`integrate` (QUADPACK):
 
 * :func:`statistic_direct` - n int (psi_n(t) - psi0(t))^2 e^(-gamma t) dt;
-* :func:`small_lambda` - lam(z) at one point, for Weibull by one quadrature;
+* :func:`small_lambda` - lam(z) at one point, for Weibull and Frechet by one
+  quadrature;
 * :func:`kernel_lambda` - the pairwise kernel K, whose n x n grid checks the
   sorted double sum;
 * :func:`mle_limit`, :func:`population_min_cf` and :func:`population_delta` -
@@ -312,33 +313,32 @@ def kernel_lambda(gamma, z1, z2):
     return float(out) if scalar else out
 
 
-_WEIBULL_QUAD = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-16, max_subdivisions=2000)
+_LAMBDA_QUAD = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-16, max_subdivisions=2000)
 
 
 def small_lambda(family: Family, gamma: float, z: float) -> float:
     """lam(z) = int_0^inf min(1, t z) psi0(t) e^(-gamma t) dt at one point.
 
-    Pareto and Frechet read the closed forms through
-    :func:`mincf.stat.lambda_table`, so the tests against mpmath
-    (``TestClosedFormLambda``, gamma from 0.001 to 1000) are what check them.
-    Weibull runs one adaptive quadrature, the reference for the panels that
-    lambda_table fits on a uniform grid in log z.
+    Weibull and Frechet run one adaptive quadrature, the reference for the
+    panels that lambda_table fits on a uniform grid in log z. Pareto reads its
+    closed form through :func:`mincf.stat.lambda_table`, so the tests against
+    mpmath (``TestClosedFormLambda``, gamma from 0.001 to 1000) are what check it.
     """
     g = _check_gamma(gamma)
     z = float(z)
     if not (z > 0 and np.isfinite(z)):
         raise DomainError(f"lambda argument must be positive, got {z!r}")
-    if family is Family.WEIBULL:
-        return _lambda_via_complement(g, z, lambda_complete(family, g))
-    return lambda_table(family, g)(z)
+    if family is Family.PARETO:
+        return lambda_table(family, g)(z)
+    return _lambda_via_complement(family, g, z, lambda_complete(family, g))
 
 
-def _lambda_via_complement(g: float, z: float, lam_inf: float) -> float:
-    """Weibull lam(z) = lam_inf - int_0^(1/z) (1 - z t) psi0(t) e^(-g t) dt."""
+def _lambda_via_complement(family: Family, g: float, z: float, lam_inf: float) -> float:
+    """lam(z) = lam_inf - int_0^(1/z) (1 - z t) psi0(t) e^(-g t) dt."""
     def integrand(t):
-        return (1.0 - z * t) * _psi0(Family.WEIBULL, t) * math.exp(-g * t)
+        return (1.0 - z * t) * _psi0(family, t) * math.exp(-g * t)
 
-    return lam_inf - integrate(integrand, 0.0, 1.0 / z, _WEIBULL_QUAD).value
+    return lam_inf - integrate(integrand, 0.0, 1.0 / z, _LAMBDA_QUAD).value
 
 
 def empirical_min_cf(sample, t):

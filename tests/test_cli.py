@@ -553,6 +553,24 @@ def test_non_computing_commands_load_no_numpy(argv, code):
     assert out[-2:] == [f"exit {code}", "[]"]
 
 
+def test_version_loads_only_the_parser_modules():
+    # `mincf --version` is timed as every benchmark set-up; a few ms more on its
+    # path can move that reading a whole step of the wait-poll grid it lands on.
+    script = (
+        "import argparse, importlib, os, runpy, sys\n"
+        "before = set(sys.modules)\n"
+        "sys.argv = ['mincf', '--version']\n"
+        "try:\n"
+        "    runpy.run_module('mincf', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit:\n"
+        "    pass\n"
+        "print(sorted(set(sys.modules) - before))\n"
+    )
+    assert run_python(script) == str(sorted([
+        "__future__", "_locale", "locale", "mincf", "mincf.entry", "mincf.errors", "textwrap",
+    ]))
+
+
 def test_script_entry_is_the_parse_first_main():
     tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

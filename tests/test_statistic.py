@@ -48,6 +48,19 @@ def _mp_psi0(family):
     return lambda t: t * (1 - mp.log(t)) if t <= 1 else mp.mpf(1)
 
 
+def _mp_statistic(family, y, gamma, dps=40):
+    """n int (psi_n - psi0)^2 e^(-gamma t) dt by mpmath, every kink 1/Y_j (and t = 1) a break point."""
+    with mp.workdps(dps):
+        ys = [mp.mpf(float(v)) for v in y]
+        g, n, psi0 = mp.mpf(gamma), len(ys), _mp_psi0(family)
+
+        def f(t):
+            d = sum(min(1, t * v) for v in ys) / n - psi0(t)
+            return d * d * mp.exp(-g * t)
+
+        return float(n * mp.quad(f, sorted({mp.mpf(0), mp.mpf(1), mp.inf, *(1 / v for v in ys)})))
+
+
 def _standardized(family, n, rng, params=ParamPair(1.0, 1.0)):
     x = sample_null(family, params, n, rng)
     return standardize(x, mle(family, x))
@@ -232,12 +245,16 @@ class TestLambdaTable:
         scale = max(1.0, lambda_complete(family, gamma))
         assert np.max(np.abs(fast - ref)) < 5e-10 * scale
 
-    @pytest.mark.parametrize("gamma", [0.001, 0.5, 1.0, 5.0, 1000.0])
-    def test_clenshaw_matches_per_panel_chebval(self, gamma):
+    @pytest.mark.parametrize(("family", "gamma"), [
+        # Weibull's cases keep their bare-gamma ids.
+        *(pytest.param(Family.WEIBULL, g, id=str(g)) for g in (0.001, 0.5, 1.0, 5.0, 1000.0)),
+        *(pytest.param(Family.FRECHET, g, id=f"frechet-{g}") for g in (0.001, 0.5, 1.0, 5.0, 1000.0)),
+    ])
+    def test_clenshaw_matches_per_panel_chebval(self, family, gamma):
         # The panels are evaluated by one recurrence over all values, each
         # reading its own panel's coefficients; chebval on each panel alone
         # is the reference, at the range ends and on every panel edge too.
-        table = lambda_table(Family.WEIBULL, gamma)
+        table = lambda_table(family, gamma)
         m = len(table.coeffs)  # perfbench's layer replay counts panels this way
         assert table.coeffs.shape == (m, 15)
         assert math.isclose(table.u_lo + m * table.h, math.log(table.z_hi), rel_tol=1e-14)
@@ -265,19 +282,19 @@ class TestLambdaTable:
 class TestClosedFormLambda:
     """The lam table of every family against mpmath quadrature.
 
-    small_lambda and lambda_table share the closed forms for Pareto (both
-    sides of z = 1) and Frechet, so TestLambdaTable cannot catch an error in
-    them; for Weibull this checks the panels and both asymptotic branches
-    without the adaptive quadrature. The z grid straddles every branch switch: z = 1 and
-    z = gamma for Pareto, z = max(1/4, gamma) for Frechet, the panel range
-    [gamma/40, 40] for Weibull.
+    small_lambda reads Pareto's closed form (both sides of z = 1) from
+    lambda_table, so TestLambdaTable cannot catch an error in it; for Weibull
+    and Frechet this checks the panels and both asymptotic branches without
+    the adaptive quadrature. The z grid straddles every branch switch: z = 1
+    and z = gamma for Pareto, the panel range [gamma/40, max(40, gamma)] for
+    Weibull and Frechet.
     """
 
     Z = np.geomspace(1e-8, 1e8, 33)
 
     @staticmethod
-    def _oracle(family, gamma, z):
-        with mp.workdps(20):
+    def _oracle(family, gamma, z, dps=20):
+        with mp.workdps(dps):
             g, z = mp.mpf(gamma), mp.mpf(z)
             psi0 = _mp_psi0(family)
             f = lambda t: min(1, t * z) * psi0(t) * mp.exp(-g * t)
@@ -308,6 +325,23 @@ class TestClosedFormLambda:
         ref = np.array([self._oracle(Family.PARETO, gamma, v) for v in z])
         got = lambda_table(Family.PARETO, gamma)(z)
         assert np.max(np.abs(got - ref)) <= 1e-14 * max(1.0, lambda_complete(Family.PARETO, gamma))
+
+    @pytest.mark.parametrize("gamma", [0.001, 0.01])
+    def test_frechet_at_small_gamma(self, gamma):
+        # Panels fitted to lam_inf - C(z); a closed form through E1 and incomplete
+        # gammas lost 2.2e-12 * max(1, lam_inf) here at g = 0.001, z = 0.249.
+        z = np.concatenate([self.Z, np.geomspace(0.02, 0.249, 6)])
+        ref = np.array([self._oracle(Family.FRECHET, gamma, v, dps=30) for v in z])
+        got = lambda_table(Family.FRECHET, gamma)(z)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * max(1.0, lambda_complete(Family.FRECHET, gamma))
+
+    @pytest.mark.parametrize("gamma", [5.0, 30.0])
+    def test_weibull_relative_to_lam_inf(self, gamma):
+        # lam_inf < 1 here, so a panel tolerance of 1e-11 * max(1, lam_inf) was
+        # absolute: it allowed 1.7e-11 (g = 5) and 2.0e-9 (g = 30) of lam_inf.
+        ref = np.array([self._oracle(Family.WEIBULL, gamma, v, dps=30) for v in self.Z])
+        got = lambda_table(Family.WEIBULL, gamma)(self.Z)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * lambda_complete(Family.WEIBULL, gamma)
 
     @pytest.mark.parametrize("z", [1e-8, 1e-3])
     def test_weibull_reference_at_large_gamma(self, z):
@@ -357,6 +391,27 @@ class TestStatistic:
                 y = _standardized(Family.PARETO, n, rng)
                 direct = statistic_direct(Family.PARETO, y, gamma)
                 assert abs(statistic(Family.PARETO, y, gamma).value - direct) <= 1e-8 * direct
+
+    def test_frechet_oracle_equivalence_at_small_gamma(self):
+        # The small-gamma test's samples at 1e-8: Frechet's lam from panels keeps
+        # T within 3.4e-9 of the defining integral at g = 0.001 (a closed form: 6.5e-7).
+        rng = np.random.default_rng(113)
+        for n in (20, 50):
+            for _ in range(4):
+                y = _standardized(Family.FRECHET, n, rng)
+                direct = statistic_direct(Family.FRECHET, y, 0.001)
+                assert abs(statistic(Family.FRECHET, y, 0.001).value - direct) <= 1e-8 * direct
+
+    @pytest.mark.parametrize(("gamma", "bound"), [(5.0, 1e-10), (30.0, 1e-8)])
+    def test_weibull_against_mpmath_at_large_gamma(self, gamma, bound):
+        # T shrinks fast with gamma while n L and 2 sum lam do not, so lam's error
+        # relative to lam_inf is what T sees: panels held to an absolute 1e-11
+        # put T 2.6e-8 (g = 5) and 4.6e-4 (g = 30) off on these rows.
+        rng = np.random.default_rng(11)
+        for _ in range(2):
+            y = _standardized(Family.WEIBULL, 20, rng)
+            ref = _mp_statistic(Family.WEIBULL, y, gamma)
+            assert abs(statistic(Family.WEIBULL, y, gamma).value - ref) <= bound * ref
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_pipeline_invariance(self, family):
