@@ -6,8 +6,8 @@ fixed rules. The tests hold it to the routes here, which integrate the
 defining integrals adaptively through :func:`integrate` (QUADPACK):
 
 * :func:`statistic_direct` - n int (psi_n(t) - psi0(t))^2 e^(-gamma t) dt;
-* :func:`small_lambda` - lam(z) at one point, for Weibull and Frechet by one
-  quadrature;
+* :func:`small_lambda` - lam(z) at one point, by one quadrature of its
+  bounded complement;
 * :func:`kernel_lambda` - the pairwise kernel K, whose n x n grid checks the
   sorted double sum;
 * :func:`mle_limit`, :func:`population_min_cf` and :func:`population_delta` -
@@ -34,7 +34,7 @@ from scipy.special import erf, exp1, gammainc, ndtr
 from mincf.errors import ConfigError, ConvergenceError, DomainError
 from mincf.families import AlternativeSpec, Family, ParamPair
 from mincf.special import gammainc23
-from mincf.stat import _check_gamma, lambda_complete, lambda_table
+from mincf.stat import _check_gamma, lambda_complete
 
 
 class IntegrationError(RuntimeError):
@@ -319,17 +319,14 @@ _LAMBDA_QUAD = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-16, max_subdivisions=200
 def small_lambda(family: Family, gamma: float, z: float) -> float:
     """lam(z) = int_0^inf min(1, t z) psi0(t) e^(-gamma t) dt at one point.
 
-    Weibull and Frechet run one adaptive quadrature, the reference for the
-    panels that lambda_table fits on a uniform grid in log z. Pareto reads its
-    closed form through :func:`mincf.stat.lambda_table`, so the tests against
-    mpmath (``TestClosedFormLambda``, gamma from 0.001 to 1000) are what check it.
+    Every family runs one adaptive quadrature of lam_inf - C(z), the
+    reference for the panels that lambda_table fits on a uniform grid in log z.
+    lam_inf is the production value, which ``TestLConstant`` holds to mpmath.
     """
     g = _check_gamma(gamma)
     z = float(z)
     if not (z > 0 and np.isfinite(z)):
         raise DomainError(f"lambda argument must be positive, got {z!r}")
-    if family is Family.PARETO:
-        return lambda_table(family, g)(z)
     return _lambda_via_complement(family, g, z, lambda_complete(family, g))
 
 

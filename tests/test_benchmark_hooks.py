@@ -60,7 +60,7 @@ def test_layer_replay_names_resolve(tracing):
     stat.l_constant.cache_clear()
     for family in Family:
         panels = len(stat.lambda_table(family, 1.0).coeffs)  # layers.py counts panels so
-        assert (panels == 0) if family is Family.PARETO else (panels >= 1), family
+        assert panels >= 1, family
         assert stat.l_constant(family, 1.0) > 0
 
 

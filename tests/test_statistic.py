@@ -15,7 +15,6 @@ from mincf.estimation import fit_batch, mle, standardize
 from mincf.families import Family, ParamPair, parse_alternative, sample_alternative, sample_null
 from mincf.stat import (
     _kernel_sum,
-    _pareto_c1,
     batch_statistics,
     l_constant,
     lambda_complete,
@@ -181,21 +180,18 @@ class TestLConstant:
     def test_against_mpmath_outside_tested_gammas(self, family, gamma):
         # The psi0 integrals against a 30-digit reference, at a tolerance the
         # scipy oracle cannot hold (l_constant_oracle is about 1e-10 off at
-        # gamma = 30): L, lam_inf, Weibull's table slope and Pareto's c1. This
-        # is the one independent check of lam_inf, which small_lambda reads.
-        got = {(0, 2, mp.inf): l_constant(family, gamma),
-               (0, 1, mp.inf): lambda_complete(family, gamma)}
+        # gamma = 30): L, lam_inf and Weibull's table slope. This is the one
+        # independent check of lam_inf, which small_lambda reads.
+        got = {(0, 2): l_constant(family, gamma), (0, 1): lambda_complete(family, gamma)}
         if family is Family.WEIBULL:
-            got[1, 1, mp.inf] = lambda_table(family, gamma).slope
-        if family is Family.PARETO:
-            got[1, 1, 1] = _pareto_c1(gamma)
+            got[1, 1] = lambda_table(family, gamma).slope
         psi0 = _mp_psi0(family)
         with mp.workdps(30):
             g = mp.mpf(gamma)
-            for (k, p, upper), value in got.items():
+            for (k, p), value in got.items():
                 ref = float(mp.quad(lambda t: t ** k * psi0(t) ** p * mp.exp(-g * t),
-                                    sorted(x for x in {0, 1 / g, 1, mp.inf} if x <= upper)))
-                assert abs(value - ref) <= 1e-14 * ref, (k, p, upper)
+                                    sorted({0, 1 / g, 1, mp.inf})))
+                assert abs(value - ref) <= 1e-14 * ref, (k, p)
 
 
 class TestSmallLambda:
@@ -249,18 +245,20 @@ class TestLambdaTable:
         # Weibull's cases keep their bare-gamma ids.
         *(pytest.param(Family.WEIBULL, g, id=str(g)) for g in (0.001, 0.5, 1.0, 5.0, 1000.0)),
         *(pytest.param(Family.FRECHET, g, id=f"frechet-{g}") for g in (0.001, 0.5, 1.0, 5.0, 1000.0)),
+        *(pytest.param(Family.PARETO, g, id=f"pareto-{g}") for g in (0.001, 0.5, 1.0, 5.0, 1000.0)),
     ])
     def test_clenshaw_matches_per_panel_chebval(self, family, gamma):
         # The panels are evaluated by one recurrence over all values, each
         # reading its own panel's coefficients; chebval on each panel alone
-        # is the reference, at the range ends and on every panel edge too.
+        # is the reference, at the range ends, on every panel edge and at
+        # z = 1 (Pareto's kink) too.
         table = lambda_table(family, gamma)
         m = len(table.coeffs)  # perfbench's layer replay counts panels this way
         assert table.coeffs.shape == (m, 15)
         assert math.isclose(table.u_lo + m * table.h, math.log(table.z_hi), rel_tol=1e-14)
         edges = np.exp(table.u_lo + table.h * np.arange(m + 1))
         inner = np.exp(np.random.default_rng(7).uniform(table.u_lo, math.log(table.z_hi), 3000))
-        z = np.concatenate([[table.z_lo, table.z_hi], edges, inner])
+        z = np.concatenate([[table.z_lo, table.z_hi, 1.0], edges, inner])
         z = z[(z >= table.z_lo) & (z <= table.z_hi)]
         # A table whose u_lo sits one ulp above log z_lo: z_lo's log then
         # rounds below u_lo and must still be read from panel 0.
@@ -270,8 +268,20 @@ class TestLambdaTable:
         for tab in (table, shifted):
             x = (np.log(z) - tab.u_lo) / tab.h
             panel = np.clip(np.floor(x), 0, m - 1).astype(int)
-            ref = np.array([chebval(2.0 * (v - k) - 1.0, tab.coeffs[k]) for v, k in zip(x, panel)])
+            ref = tab.lam_inf - np.array([chebval(2.0 * (v - k) - 1.0, tab.coeffs[k])
+                                          for v, k in zip(x, panel)])
             assert np.max(np.abs(tab(z) - ref)) <= 1e-15 * scale
+
+    def test_panel_grid_is_anchored_at_one(self):
+        # Panel edges are whole multiples of h, so z = 1, where Pareto's psi0
+        # has its kink, is an edge and every family converges on few panels.
+        for gamma in np.geomspace(0.001, 1000.0, 121):
+            for family in ALL_FAMILIES:
+                table = lambda_table(family, float(gamma))
+                assert 1 <= len(table.coeffs) <= 32, (family, gamma)
+                if table.z_lo <= 1.0 <= table.z_hi:
+                    k = -table.u_lo / table.h
+                    assert abs(k - round(k)) <= 1e-9, (family, gamma)
 
     def test_monotone_increasing(self):
         table = lambda_table(Family.FRECHET, 1.0)
@@ -282,12 +292,10 @@ class TestLambdaTable:
 class TestClosedFormLambda:
     """The lam table of every family against mpmath quadrature.
 
-    small_lambda reads Pareto's closed form (both sides of z = 1) from
-    lambda_table, so TestLambdaTable cannot catch an error in it; for Weibull
-    and Frechet this checks the panels and both asymptotic branches without
-    the adaptive quadrature. The z grid straddles every branch switch: z = 1
-    and z = gamma for Pareto, the panel range [gamma/40, max(40, gamma)] for
-    Weibull and Frechet.
+    This checks the panels, the linear asymptote below them and the tail
+    series above them without the adaptive quadrature of TestLambdaTable.
+    The z grid straddles every switch: the panel range, about
+    [gamma/40, max(40, gamma)], and z = 1, Pareto's kink.
     """
 
     Z = np.geomspace(1e-8, 1e8, 33)
