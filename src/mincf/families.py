@@ -84,24 +84,29 @@ def null_min_cf(family: Family, t):
     return float(out[0]) if scalar else out.reshape(np.shape(t))
 
 
-def null_quantile(family: Family, params: ParamPair, u):
-    """Inverse distribution function at u in (0, 1)."""
-    c, phi = params.c, params.phi
-    arr = np.asarray(u, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    if not np.all((arr >= 0) & (arr < 1)):
-        raise DomainError("quantile requires u in [0, 1)")
-
+def _quantile_in_place(family: Family, params: ParamPair, u: np.ndarray) -> np.ndarray:
+    """Overwrite the float array u in [0, 1) with the inverse distribution function
+    at u, and return it: c (-log(1 - u))^(1/phi), c (1 - u)^(-1/phi), c (-log u)^(-1/phi)."""
     if family is Family.WEIBULL:
-        out = c * (-np.log1p(-arr)) ** (1.0 / phi)
+        np.negative(np.log1p(np.negative(u, out=u), out=u), out=u)
     elif family is Family.PARETO:
-        out = c * (1.0 - arr) ** (-1.0 / phi)
+        np.subtract(1.0, u, out=u)
     elif family is Family.FRECHET:
-        out = c * (-np.log(np.maximum(arr, 1e-300))) ** (-1.0 / phi)
+        np.negative(np.log(np.maximum(u, 1e-300, out=u), out=u), out=u)
     else:
         raise DomainError(f"unknown family {family!r}")
-    return float(out[0]) if scalar else out.reshape(np.shape(u))
+    u **= (1.0 if family is Family.WEIBULL else -1.0) / params.phi
+    u *= params.c
+    return u
+
+
+def null_quantile(family: Family, params: ParamPair, u):
+    """Inverse distribution function at u in [0, 1); u itself is left unchanged."""
+    arr = np.array(u, dtype=float, ndmin=1)
+    if not np.all((arr >= 0) & (arr < 1)):
+        raise DomainError("quantile requires u in [0, 1)")
+    out = _quantile_in_place(family, params, arr)
+    return float(out[0]) if np.ndim(u) == 0 else out.reshape(np.shape(u))
 
 
 def _check_size(size) -> None:
@@ -112,9 +117,9 @@ def _check_size(size) -> None:
 
 def sample_null(family: Family, params: ParamPair, size, rng: np.random.Generator) -> np.ndarray:
     """Draw variates of the given size or shape from the family member by
-    inverse transform."""
+    inverse transform, applied in place on the generator's uniforms."""
     _check_size(size)
-    return null_quantile(family, params, rng.random(size))
+    return _quantile_in_place(family, params, rng.random(size))
 
 
 # ---------------------------------------------------------------------------
@@ -205,16 +210,16 @@ def sample_alternative(spec: AlternativeSpec, size, rng: np.random.Generator) ->
     then apply the shift.
 
     Laws with a closed-form inverse use one uniform per variate, the W, P
-    and F laws through :func:`null_quantile`; the gamma and the lognormal
-    (exp of mu + sigma Z) use the generator's gamma and normal routines,
-    and the halfnormal uses Box-Muller.
+    and F laws through :func:`null_quantile`'s transform, in place; the
+    gamma and the lognormal (exp of mu + sigma Z) use the generator's gamma
+    and normal routines, and the halfnormal uses Box-Muller.
     """
     _check_size(size)
     name = spec.name
 
     if name in _NULL_LAWS:
         shape, scale = spec.params
-        x = null_quantile(_NULL_LAWS[name], ParamPair(c=scale, phi=shape), rng.random(size))
+        x = _quantile_in_place(_NULL_LAWS[name], ParamPair(c=scale, phi=shape), rng.random(size))
     elif name == "G":
         shape, scale = spec.params
         x = rng.standard_gamma(shape, size) * scale
@@ -235,4 +240,4 @@ def sample_alternative(spec: AlternativeSpec, size, rng: np.random.Generator) ->
         x = np.log1p(-np.log1p(-rng.random(size)) / 2.0) ** (1.0 / theta)
     else:  # pragma: no cover
         raise ConfigError(f"unknown alternative {name!r}")
-    return x + spec.shift
+    return np.add(x, spec.shift, out=x)

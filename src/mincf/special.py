@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.polynomial import chebyshev as _cheb
-from numpy.polynomial import polynomial as _poly
 
 from .errors import DomainError
 
@@ -26,6 +24,26 @@ EULER_GAMMA = 0.5772156649015329
 
 #: 1/k! for k = 3..20: x^3 e^(-x) times this series is P(3, x) to double precision for x < 1.
 _P3_SERIES = np.array([1.0 / math.factorial(k) for k in range(3, 21)])
+
+
+def horner(x, c):
+    """sum c_k x^k, c given from the highest order down: polyval's operations in its order."""
+    c = iter(c)
+    acc = next(c) + x * 0
+    for ck in c:
+        acc = ck + acc * x
+    return acc
+
+
+def clenshaw(x, c):
+    """sum c_k T_k(x) over two or more coefficients given from the highest order down,
+    chebval's operations in chebval's order; c may gather each term as it is reached."""
+    c = iter(c)
+    c1, c0 = next(c), next(c)
+    x2 = 2.0 * x
+    for ck in c:
+        c0, c1 = ck - c1, c0 + c1 * x2
+    return c0 + c1 * x
 
 
 def _clamp(x):
@@ -49,7 +67,7 @@ def gammainc23(x):
     p3 = 1.0 - e * (1.0 + x + 0.5 * x * x)
     small = x < 1.0
     xs, es = x[small], e[small]
-    p3[small] = es * xs * xs * xs * _poly.polyval(xs, _P3_SERIES)
+    p3[small] = es * xs * xs * xs * horner(xs, _P3_SERIES[::-1])
     p2[small] = p3[small] + 0.5 * es * xs * xs
     return p2.reshape(shape), p3.reshape(shape)
 
@@ -152,9 +170,9 @@ def exp_integral_e1(z):
     high = x > 4.0
     mid = ~(low | high)
     xl = x[low]
-    out[low] = _poly.polyval(xl, _E1_SERIES) - EULER_GAMMA - np.log(xl)
+    out[low] = horner(xl, _E1_SERIES[::-1]) - EULER_GAMMA - np.log(xl)
     xm = x[mid]
-    out[mid] = np.exp(-xm) * _cheb.chebval((2.0 * xm - 5.0) / 3.0, _E1_CHEB)
+    out[mid] = np.exp(-xm) * clenshaw((2.0 * xm - 5.0) / 3.0, _E1_CHEB[::-1])
     xh = x[high]
     f = xh + (2 * _E1_CF_DEPTH + 1)
     for k in range(_E1_CF_DEPTH, 0, -1):

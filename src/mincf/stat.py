@@ -9,9 +9,9 @@ closed form, double sum in O(n log n) by :func:`_kernel_sum`), L = int
 psi0(t)^2 e^(-gamma t) dt and lam(z) = int min(1,t z) psi0(t) e^(-gamma t) dt.
 
 The per-gamma integrals of psi0 - L, lam's limit lam_inf and the slope
-lam(z)/z at z -> 0 - have one route: a fixed Gauss-Legendre rule over a
-positive integrand on :func:`_geometric_edges`, by :func:`_psi0_integral` (the
-slope as the panel build's last running sum).
+lam(z)/z at z -> 0 - have one route: a fixed Gauss-Legendre rule (:func:`_gl_rule`,
+by Newton's method) over a positive integrand on :func:`_geometric_edges`, by
+:func:`_psi0_integral` (the slope as the panel build's last running sum).
 
 lam has one production route for every family, the cached vectorized
 :func:`lambda_table`, serving the observed :func:`statistic` and the engine's
@@ -19,16 +19,18 @@ lam has one production route for every family, the cached vectorized
 the bounded complement C(z) = int_0^(1/z) (1 - t z) psi0(t) e^(-gamma t) dt, so
 lam is as exact as lam_inf; below z_lo the exact linear asymptote applies. C is
 held by Chebyshev panels on a uniform grid in log z, with z = 1 (Pareto's kink)
-on a panel edge, fitted once per gamma to running sums of per-piece
-Gauss-Legendre integrals plus one partial piece and evaluated by one Clenshaw
-recurrence over all values; above the panels C is a power series
-(:func:`_series_complement`, one Horner helper).
+on a panel edge, fitted once per gamma by a fixed DCT-I matrix to running sums
+of per-piece Gauss-Legendre integrals plus one partial piece and evaluated by
+one Clenshaw recurrence over all values; above the panels C is a power series
+(:func:`_series_complement`, summed by Horner's rule).
 
 Every public function takes gamma in [GAMMA_MIN, GAMMA_MAX] = [0.001, 1000], the
 range the tests check lam and L against mpmath, and raises DomainError outside it.
 
-The incomplete gammas come from :mod:`mincf.special` in numpy, so the
-production route loads no scipy. The quadrature oracles the tests
+The incomplete gammas and the Horner and Clenshaw helpers come from
+:mod:`mincf.special`, so the production route loads no scipy or numpy.polynomial
+and makes no LAPACK or BLAS call, each of which adds to every CLI process's peak
+RSS. The quadrature oracles the tests
 hold these terms to are part of the test suite (``tests/oracles.py``), not
 of the package.
 """
@@ -39,18 +41,28 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import chebyshev as _cheb
-from numpy.polynomial import polynomial as _poly
 
 from .errors import GAMMA_MAX, GAMMA_MIN, DomainError
 from .families import Family, null_min_cf
-from .special import EULER_GAMMA, gammainc23
+from .special import EULER_GAMMA, clenshaw, gammainc23, horner
 
 
 @functools.cache
 def _gl_rule():
-    # Built on first use: the eigen-solve's first LAPACK call costs ~9 ms of start-up.
-    return np.polynomial.legendre.leggauss(32)
+    """32-node Gauss-Legendre rule with no LAPACK call: Newton on P_32's three-term
+    recurrence from cosine estimates, then leggauss's symmetrization and scaling."""
+    n = 32
+    x = np.cos(np.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
+    for _ in range(5):  # the third step reaches rounding, the rest settle the last bits
+        p0, p1 = np.ones_like(x), x
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        dp = n * (p0 - x * p1) / (1.0 - x * x)  # P_n'(x)
+        x = x - p1 / dp
+    w = 1.0 / ((1.0 - x * x) * dp * dp)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    return x, w * (2.0 / w.sum())
 
 
 def _gauss_legendre(f, edges):
@@ -178,9 +190,10 @@ def _series_complement(g, a, b, log):
     d = np.convolve(b, e)[:k.size]
     r = 1.0 / ((k + 2.0) * (k + 3.0))
     if not log:
-        return a * a * _poly.polyval(a, d * r)
+        return a * a * horner(a, (d * r)[::-1])
     return a * a * (
-        _poly.polyval(a, d * r + (2.0 * k + 5.0) * e * r * r) - np.log(a) * _poly.polyval(a, e * r)
+        horner(a, (d * r + (2.0 * k + 5.0) * e * r * r)[::-1])
+        - np.log(a) * horner(a, (e * r)[::-1])
     )
 
 
@@ -195,6 +208,13 @@ def lambda_complete(family: Family, gamma: float) -> float:
 
 _CHEB_DEG = 14
 _CHEB_TEST = np.array([-0.971, -0.683, -0.317, 0.089, 0.459, 0.823, 0.987])
+#: Fit nodes cos(j pi/14) and the DCT-I taking values there to Chebyshev coefficients
+#: (Trefethen 2013, ch. 3): c_k = (2/14) sum_j f_j cos(j k pi/14), end terms halved in j and k.
+_J = np.arange(_CHEB_DEG + 1)
+_CHEB_NODES = np.cos(_J * np.pi / _CHEB_DEG)
+_HALF_ENDS = np.where(_J % _CHEB_DEG, 1.0, 0.5)
+_DCT = (2.0 / _CHEB_DEG) * _HALF_ENDS[:, None] * _HALF_ENDS * np.cos(
+    np.outer(_J, _J) * np.pi / _CHEB_DEG)
 _MAX_PANELS = 256  # bounds one level's quadrature; gamma in range needs at most 17
 
 
@@ -234,14 +254,9 @@ class LambdaTable:
             x = (np.log(z[mid]) - self.u_lo) / self.h
             idx = np.minimum(x.astype(np.intp), len(self.coeffs) - 1)
             x = 2.0 * (x - idx) - 1.0
-            # Clenshaw's recurrence for all panels at once, each value reading
-            # its panel's coefficients; chebval's operations in chebval's order.
-            c = self.coeffs.T
-            x2 = 2.0 * x
-            c0, c1 = c[-2].take(idx), c[-1].take(idx)
-            for k in range(len(c) - 3, -1, -1):
-                c0, c1 = c[k].take(idx) - c1, c0 + c1 * x2
-            out[mid] = self.lam_inf - (c0 + c1 * x)
+            # One recurrence for all panels, each value gathering its panel's coefficients.
+            out[mid] = self.lam_inf - clenshaw(
+                x, (c.take(idx) for c in self.coeffs.T[::-1]))
         return float(out[0]) if scalar else out
 
 
@@ -250,9 +265,9 @@ def lambda_table(family: Family, gamma: float) -> LambdaTable:
     """Build (and cache) the lam evaluator for one (family, gamma).
 
     Levels of width h = (log max(40, gamma) - log(gamma/40))/m, m = 4, 8, 16, ...,
-    each a chebfit call, until every panel is within 1e-13 * lam_inf of C(z) at 7
-    test points: 5 to 17 panels for gamma in [0.001, 1000]. The panels are the
-    whole multiples of h that cover that range, so z = 1 is a panel edge: the
+    each fitted by the _DCT matrix, until every panel is within 1e-13 * lam_inf of
+    C(z) at 7 test points: 5 to 17 panels for gamma in [0.001, 1000]. The panels are
+    the whole multiples of h that cover that range, so z = 1 is a panel edge: the
     second derivative of Pareto's psi0 jumps at t = 1, and the fourth of lam at
     z = 1. C rather than lam is fitted, so the fit rounds at the size of C, which
     on z >= 1, where standardized rows lie, is far below lam_inf for small gamma.
@@ -283,16 +298,16 @@ def lambda_table(family: Family, gamma: float) -> LambdaTable:
                                np.stack([edges[j], a], axis=-1))
         return cum0[j] - z * cum1[j] + rest
 
-    nodes = np.cos(np.arange(_CHEB_DEG + 1) * np.pi / _CHEB_DEG)
-    x = np.concatenate([nodes, _CHEB_TEST])  # fit nodes, then test points: one f call a level
+    x = np.concatenate([_CHEB_NODES, _CHEB_TEST])  # fit nodes, then test points: one f call a level
     m = 4  # on a fine gamma grid no table met the tolerance with fewer
     while True:
         h = (u_hi - u_lo) / m
         k_lo, k_hi = math.floor(u_lo / h), math.ceil(u_hi / h)
         # Panel k is [k h, (k + 1) h]; its end nodes x = -1, 1 fall on k h and (k + 1) h exactly.
         vals = f(h * (np.arange(k_lo, k_hi) + 0.5 + 0.5 * x[:, None]))
-        coeffs = _cheb.chebfit(nodes, vals[:nodes.size], _CHEB_DEG)
-        err = _cheb.chebval(_CHEB_TEST, coeffs) - vals[nodes.size:].T
+        # A broadcast product, not a matrix product: BLAS's first call costs peak RSS.
+        coeffs = (_DCT[:, :, None] * vals[:_CHEB_NODES.size]).sum(axis=1)
+        err = clenshaw(_CHEB_TEST, coeffs[::-1, :, None]) - vals[_CHEB_NODES.size:].T
         if np.max(np.abs(err)) <= 1e-13 * lam_inf or m == _MAX_PANELS:
             break
         m *= 2

@@ -615,6 +615,24 @@ def test_critvals_command_loads_no_scipy():
     assert run_python(script) == "[]"
 
 
+def test_critvals_run_leaves_numpy_polynomial_unloaded():
+    # The lam build fits its panels by a fixed matrix and its rule by Newton's
+    # method; numpy.polynomial would add its import to every computing command.
+    script = (
+        "import runpy, sys\n"
+        "sys.argv = ['mincf', 'critvals', '--family', 'pareto', '--n', '20',\n"
+        "            '--replicates', '600', '--workers', '1', '--no-cache']\n"
+        "try:\n"
+        "    runpy.run_module('mincf', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    print('exit', exc.code)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", script], env=checkout_env(),
+                         capture_output=True, text=True, check=True).stdout.splitlines()
+    assert out[-2:] == ["exit 0", "[]"]
+
+
 def test_power_study_command_loads_no_scipy(tmp_path):
     # The lognormal sampler runs on the generator's normal routine, so a study
     # with LN alternatives loads no scipy either: here, then beside a helper.

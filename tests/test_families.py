@@ -162,6 +162,31 @@ class TestSampling:
         b = sample_null(Family.WEIBULL, STANDARD_PARAMS, 10, np.random.default_rng(5))
         assert np.array_equal(a, b)
 
+    #: The inverse transforms written out of place, one temporary per operation.
+    QUANTILES = {
+        Family.WEIBULL: lambda u, c, phi: c * (-np.log1p(-u)) ** (1.0 / phi),
+        Family.PARETO: lambda u, c, phi: c * (1.0 - u) ** (-1.0 / phi),
+        Family.FRECHET: lambda u, c, phi: c * (-np.log(np.maximum(u, 1e-300))) ** (-1.0 / phi),
+    }
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    @pytest.mark.parametrize("params", [STANDARD_PARAMS, ParamPair(2.3, 0.7)], ids=["standard", "2.3-0.7"])
+    def test_draw_is_the_quantile_of_the_generators_uniforms(self, family, params):
+        # sample_null transforms the generator's array in place; the bits are
+        # those of null_quantile, and of the out-of-place formula, on the same uniforms.
+        drawn = sample_null(family, params, (64, 20), np.random.default_rng(11))
+        u = np.random.default_rng(11).random((64, 20))
+        assert np.array_equal(drawn, null_quantile(family, params, u))
+        assert np.array_equal(drawn, self.QUANTILES[family](u, params.c, params.phi))
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_quantile_leaves_its_input_unchanged(self, family):
+        u = np.random.default_rng(12).random((4, 25))
+        before = u.copy()
+        x = null_quantile(family, ParamPair(2.3, 0.7), u)
+        assert np.array_equal(u, before)
+        assert x is not u and x.shape == u.shape
+
 
 class TestAlternatives:
     def test_lfr_closed_form_inversion(self):

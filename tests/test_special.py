@@ -241,3 +241,22 @@ class TestIncompleteGammas:
         assert p2.shape == (1, 2)
         assert p2.tolist() == p3.tolist() == [[0.0, 1.0]]
         assert gammainc23(0.5)[0].shape == ()
+
+
+class TestPolynomialHelpers:
+    """horner and clenshaw repeat numpy's polyval and chebval operation for operation."""
+
+    # Every branch of both functions, with the floats either side of 1 and 4.
+    X = np.concatenate((np.geomspace(1e-10, 700.0, 3001), np.linspace(0.9, 4.1, 1001),
+                        [np.nextafter(b, d) for b in (1.0, 4.0) for d in (0.0, 5.0)]))
+
+    def test_functions_are_bit_identical_to_the_numpy_route(self, monkeypatch):
+        from numpy.polynomial.chebyshev import chebval
+        from numpy.polynomial.polynomial import polyval
+        got = (*gammainc23(self.X), exp_integral_e1(self.X))
+        # The helpers take coefficients from the highest order down.
+        monkeypatch.setattr(special, "horner", lambda x, c: polyval(x, np.array(c)[::-1]))
+        monkeypatch.setattr(special, "clenshaw", lambda x, c: chebval(x, np.array(c)[::-1]))
+        ref = (*gammainc23(self.X), exp_integral_e1(self.X))
+        for a, b in zip(got, ref):
+            assert np.array_equal(a, b)

@@ -14,6 +14,9 @@ from mincf.errors import DomainError
 from mincf.estimation import fit_batch, mle, standardize
 from mincf.families import Family, ParamPair, parse_alternative, sample_alternative, sample_null
 from mincf.stat import (
+    _CHEB_NODES,
+    _DCT,
+    _gl_rule,
     _kernel_sum,
     batch_statistics,
     l_constant,
@@ -22,7 +25,7 @@ from mincf.stat import (
     statistic,
 )
 
-from helpers import kernel_oracle, l_constant_oracle, lambda_oracle
+from helpers import kernel_oracle, l_constant_oracle, lambda_oracle, run_python
 from oracles import (
     empirical_min_cf,
     integrate,
@@ -228,6 +231,51 @@ class TestSmallLambda:
                 lam = small_lambda(family, g, z)
                 bound = kernel_lambda(g, z, z) * l_constant(family, g)
                 assert lam * lam <= bound * (1.0 + 1e-9)
+
+
+class TestBuildRules:
+    """The quadrature rule and the panel fit, against the numpy routines they
+    replace, and the LAPACK-free build and engine they give."""
+
+    def test_gauss_legendre_rule_matches_leggauss(self):
+        from numpy.polynomial.legendre import leggauss
+        nodes, weights = _gl_rule()
+        ref_nodes, ref_weights = leggauss(32)
+        assert np.max(np.abs(nodes - ref_nodes)) <= 1e-16
+        assert np.max(np.abs(weights - ref_weights)) <= 5e-16
+        assert np.array_equal(nodes, -nodes[::-1])
+        assert np.array_equal(weights, weights[::-1])
+        assert abs(weights.sum() - 2.0) <= 4.5e-16
+
+    def test_dct_matrix_matches_chebfit(self):
+        # Column j of the fit of the unit values at node j is column j of the matrix.
+        from numpy.polynomial.chebyshev import chebfit
+        values = np.eye(_CHEB_NODES.size)
+        ref = chebfit(_CHEB_NODES, values, _CHEB_NODES.size - 1)
+        got = (_DCT[:, :, None] * values).sum(axis=1)
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(values))
+
+    def test_build_and_engine_make_no_lapack_call(self):
+        # A fresh interpreter, so that no cached table or rule hides a call.
+        script = (
+            "import numpy as np\n"
+            "def refuse(*args, **kwargs):\n"
+            "    raise AssertionError('numpy.linalg called')\n"
+            "for name in ('lstsq', 'eigvalsh', 'eigh', 'eig', 'svd', 'solve'):\n"
+            "    setattr(np.linalg, name, refuse)\n"
+            "from mincf import (Family, STANDARD_PARAMS, build_nulls, l_constant, lambda_table,\n"
+            "                   mle, sample_null, standardize, statistic)\n"
+            "for family in Family:\n"
+            "    for gamma in (0.5, 1.0, 5.0):\n"
+            "        lambda_table(family, gamma)\n"
+            "        l_constant(family, gamma)\n"
+            "    x = sample_null(family, STANDARD_PARAMS, 30, np.random.default_rng(1))\n"
+            "    assert np.isfinite(statistic(family, standardize(x, mle(family, x)), 1.0).value)\n"
+            "    nulls = build_nulls(family, 20, (0.5, 1.0, 5.0), 600, seed=2, workers=1)\n"
+            "    assert all(np.all(np.isfinite(null.sorted_stats)) for null in nulls)\n"
+            "print('ok')\n"
+        )
+        assert run_python(script) == "ok"
 
 
 class TestLambdaTable:
