@@ -3,8 +3,8 @@
 The closed forms of the statistic need the exponential integral E1 and the
 regularized lower incomplete gammas at orders 2 and 3. Each has a short numpy form
 here, within 5e-15 relative of mpmath over the arguments the statistic
-produces, so the production route imports no scipy: E1 by series, Chebyshev
-table and continued fraction, and the incomplete gammas by their finite sums.
+produces, so the production route imports no scipy: E1 by its series and its
+continued fraction, and the incomplete gammas by their finite sums.
 
 The modified Bessel function K_nu, by the trapezoid rule on its integral over
 cosh, stays public (the paper prints Weibull's L and lam_inf through it, and
@@ -114,52 +114,19 @@ def bessel_k(order: float, argument: float) -> float:
 #: Taylor coefficients of Ein(x) = E1(x) + EULER_GAMMA + log x, (-1)^(k+1)/(k k!) to
 #: k = 26 (A&S 5.1.11): the series for x <= 1.
 _E1_SERIES = np.array([0.0] + [(-1.0) ** (k + 1) / (k * math.factorial(k)) for k in range(1, 27)])
-#: Depth of the continued fraction used above x = 4.
-_E1_CF_DEPTH = 24
-
-#: Chebyshev coefficients of e^x E1(x) in t = (2x - 5)/3 on (1, 4], degree 28.
-#: Regenerated by scripts/e1_chebyshev.py; within 3.5e-15 relative of mpmath with the e^(-x).
-_E1_CHEB = (
-    0.34855668833984915,
-    -0.18026494209196262,
-    0.04857774391342619,
-    -0.013509296231469469,
-    0.0038494967405386274,
-    -0.0011181348147536704,
-    0.0003297919390336042,
-    -9.849136040156196e-05,
-    2.9718313907868556e-05,
-    -9.044601349833033e-06,
-    2.772827638422657e-06,
-    -8.554023729876961e-07,
-    2.6531772363750134e-07,
-    -8.268215609726279e-08,
-    2.5873830959904825e-08,
-    -8.126579005436319e-09,
-    2.5608260652833527e-09,
-    -8.093400637054904e-10,
-    2.5646917559425833e-10,
-    -8.146750014895348e-11,
-    2.5934920338559232e-11,
-    -8.272845849667909e-12,
-    2.6437633737282017e-12,
-    -8.4629957347905e-13,
-    2.7133109806247067e-13,
-    -8.710882504256333e-14,
-    2.797781331633401e-14,
-    -8.918659349525467e-15,
-    2.6031104124532333e-15,
-)
+#: Depth of the continued fraction above x = 1: about 90 is the least that holds
+#: 1e-15 relative on (1, 700] (worst just above 1), and from 100 on it is rounding.
+_E1_CF_DEPTH = 100
 
 
 def exp_integral_e1(z):
     """Exponential integral E1(z) = int_z^inf u^-1 e^-u du for z > 0.
 
-    Series for z <= 1, the Chebyshev table of e^z E1(z) on (1, 4], and above 4
-    the continued fraction E1(z) = e^(-z)/(z + 1 - 1/(z + 3 - 4/(z + 5 - ...)))
-    (A&S 5.1.22) evaluated backward from depth 24: within 5e-15 relative of
-    mpmath up to z = 700. The value underflows gradually above z ~ 708 and is
-    0.0 from z ~ 740. Accepts scalars or arrays.
+    Series for z <= 1, and above 1 the continued fraction
+    E1(z) = e^(-z)/(z + 1 - 1/(z + 3 - 4/(z + 5 - ...))) (A&S 5.1.22) evaluated
+    backward from depth 100: within 5e-16 relative of mpmath on (1, 700]. The
+    value underflows gradually above z ~ 708 and is 0.0 from z ~ 740. Accepts
+    scalars or arrays.
     """
     arr = np.asarray(z, dtype=float)
     if not np.all(arr > 0):
@@ -167,15 +134,11 @@ def exp_integral_e1(z):
     x = arr.ravel()
     out = np.empty_like(x)
     low = x <= 1.0
-    high = x > 4.0
-    mid = ~(low | high)
     xl = x[low]
     out[low] = horner(xl, _E1_SERIES[::-1]) - EULER_GAMMA - np.log(xl)
-    xm = x[mid]
-    out[mid] = np.exp(-xm) * clenshaw((2.0 * xm - 5.0) / 3.0, _E1_CHEB[::-1])
-    xh = x[high]
+    xh = x[~low]
     f = xh + (2 * _E1_CF_DEPTH + 1)
     for k in range(_E1_CF_DEPTH, 0, -1):
         f = (xh + (2 * k - 1)) - (k * k) / f
-    out[high] = np.exp(-xh) / f
+    out[~low] = np.exp(-xh) / f
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)

@@ -326,7 +326,10 @@ class TestLambdaTable:
         for gamma in np.geomspace(0.001, 1000.0, 121):
             for family in ALL_FAMILIES:
                 table = lambda_table(family, float(gamma))
-                assert 1 <= len(table.coeffs) <= 32, (family, gamma)
+                # 33: the 32-panel level plus the panel that anchoring at z = 1 adds.
+                assert 1 <= len(table.coeffs) <= 33, (family, gamma)
+                # Every table stopped on its Chebyshev tail, none on the panel cap.
+                assert np.max(np.abs(table.coeffs[:, -2:])) <= 1e-14 * table.lam_inf, (family, gamma)
                 if table.z_lo <= 1.0 <= table.z_hi:
                     k = -table.u_lo / table.h
                     assert abs(k - round(k)) <= 1e-9, (family, gamma)
@@ -399,6 +402,16 @@ class TestClosedFormLambda:
         got = lambda_table(Family.WEIBULL, gamma)(self.Z)
         assert np.max(np.abs(got - ref)) <= 1e-13 * lambda_complete(Family.WEIBULL, gamma)
 
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    @pytest.mark.parametrize(("gamma", "lo", "hi"), [(1000.0, 50.0, 200.0), (1.0, 0.1, 0.15)])
+    def test_panels_reach_rounding(self, family, gamma, lo, hi):
+        # Panels that stopped when 7 test points were within 1e-13 * lam_inf read
+        # 4.1e-14 * lam_inf off here at gamma = 1000 and 7.2e-15 at gamma = 1.
+        z = np.linspace(lo, hi, 6)
+        ref = np.array([self._oracle(family, gamma, v, dps=30) for v in z])
+        got = lambda_table(family, gamma)(z)
+        assert np.max(np.abs(got - ref)) <= 2e-15 * lambda_complete(family, gamma)
+
     @pytest.mark.parametrize("z", [1e-8, 1e-3])
     def test_weibull_reference_at_large_gamma(self, z):
         # The mass of the complement integrand sits near t ~ 1/gamma = 1e-3, deep
@@ -468,6 +481,17 @@ class TestStatistic:
             y = _standardized(Family.WEIBULL, 20, rng)
             ref = _mp_statistic(Family.WEIBULL, y, gamma)
             assert abs(statistic(Family.WEIBULL, y, gamma).value - ref) <= bound * ref
+
+    @pytest.mark.parametrize("family", [Family.PARETO, Family.FRECHET])
+    def test_against_mpmath_at_gamma_1000(self, family):
+        # T is 4e-8 to 2e-7 against terms up to 4e-6, so lam's error relative to
+        # lam_inf shows in T: panels stopped by 7 test points put Pareto's T
+        # 5.3e-12 off on these rows.
+        rng = np.random.default_rng(11)
+        for _ in range(2):
+            y = _standardized(family, 20, rng)
+            ref = _mp_statistic(family, y, 1000.0)
+            assert abs(statistic(family, y, 1000.0).value - ref) <= 1e-12 * ref
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_pipeline_invariance(self, family):
@@ -542,6 +566,13 @@ class TestStatistic:
     def test_requires_minimum_size(self):
         with pytest.raises(DomainError):
             statistic(Family.WEIBULL, np.array([1.0, 2.0]), 1.0)
+
+    def test_rejects_a_matrix(self):
+        # A (2, 3) array is two rows, not one row of 6: batch_statistics scores rows.
+        with pytest.raises(DomainError, match="1-D"):
+            statistic(Family.WEIBULL, [[0.5, 1.0, 1.5], [0.7, 1.2, 1.1]], 1.0)
+        with pytest.raises(DomainError, match="1-D"):
+            statistic(Family.WEIBULL, 2.0, 1.0)
 
 
 class TestEmpiricalMinCF:
