@@ -189,8 +189,8 @@ def mle(family: Family, sample) -> Estimate:
     x = np.asarray(sample, dtype=float).ravel()
     if x.size < 3:
         raise DegenerateSampleError(f"need n >= 3, got n={x.size}")
-    if not np.all(x > 0):
-        raise DomainError("sample values must be positive")
+    if not np.all((x > 0) & np.isfinite(x)):
+        raise DomainError("sample values must be positive and finite")
     if x.max() - x.min() <= 1e-12 * max(1.0, abs(x.max())):
         raise DegenerateSampleError("sample values are all (numerically) equal")
 

@@ -40,7 +40,7 @@ from .families import (
 from .stat import GAMMA_MAX, GAMMA_MIN, batch_statistics, l_constant, lambda_table, statistic
 
 #: Bump when the statistic implementation changes; cached nulls are keyed on it.
-STATISTIC_CODE_VERSION = "17"
+STATISTIC_CODE_VERSION = "18"
 
 #: Replicates per work unit and per random substream. Fixed so that the chunk
 #: layout (and therefore every draw and floating-point reduction) is

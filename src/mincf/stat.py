@@ -8,32 +8,30 @@ with K(z1,z2) = int min(1,t z1) min(1,t z2) e^(-gamma t) dt (family-free,
 closed form, double sum in O(n log n) by :func:`_kernel_sum`), L = int
 psi0(t)^2 e^(-gamma t) dt and lam(z) = int min(1,t z) psi0(t) e^(-gamma t) dt.
 
-The per-gamma integrals of psi0 - L, lam's limit lam_inf and the slope
-lam(z)/z at z -> 0 - have one route: a fixed Gauss-Legendre rule (:func:`_gl_rule`,
-by Newton's method) over a positive integrand on :func:`_geometric_edges`, by
-:func:`_psi0_integral` (the slope as the panel build's last running sum).
-
 lam has one production route for every family, the cached vectorized
 :func:`lambda_table`, serving the observed :func:`statistic` and the engine's
-:func:`batch_statistics`. Above z_lo ~ gamma/40 it is lam = lam_inf - C(z), with
-the bounded complement C(z) = int_0^(1/z) (1 - t z) psi0(t) e^(-gamma t) dt, so
-lam is as exact as lam_inf; below z_lo the exact linear asymptote applies. C is
-held by Chebyshev panels on a uniform grid in log z, with z = 1 (Pareto's kink)
-on a panel edge, fitted once per gamma by a fixed DCT-I matrix to running sums
-of per-piece Gauss-Legendre integrals plus one partial piece and evaluated by
-one Clenshaw recurrence over all values, on as many panels as their Chebyshev
-tails need; above the panels C is a power series
-(:func:`_series_complement`, summed by Horner's rule).
+:func:`batch_statistics`. Below z_lo ~ gamma/40 the exact linear asymptote
+applies. From z_lo up lam = lam_inf - C(z), with the bounded complement
+C(z) = int_0^(1/z) (1 - t z) psi0(t) e^(-gamma t) dt, so lam is as exact as
+lam_inf. C is held by Chebyshev panels on a uniform grid in log z, with z = 1
+(Pareto's kink) on a panel edge, fitted once per gamma by a fixed DCT-I matrix
+and evaluated by one Clenshaw recurrence over all values, on as many panels as
+their Chebyshev tails need. The panels run up to z_hi, where C rounds away
+against lam_inf, and from there lam is lam_inf.
+
+The build's one fixed Gauss-Legendre pass (:func:`_gl_rule`, by Newton's
+method) over positive integrands on :func:`_geometric_edges` gives C's running
+sums and every per-gamma integral of psi0: lam_inf, the slope lam(z)/z at
+z -> 0 and L (:func:`l_constant`).
 
 Every public function takes gamma in [GAMMA_MIN, GAMMA_MAX] = [0.001, 1000], the
 range the tests check lam and L against mpmath, and raises DomainError outside it.
 
-The incomplete gammas and the Horner and Clenshaw helpers come from
-:mod:`mincf.special`, so the production route loads no scipy or numpy.polynomial
-and makes no LAPACK or BLAS call, each of which adds to every CLI process's peak
-RSS. The quadrature oracles the tests
-hold these terms to are part of the test suite (``tests/oracles.py``), not
-of the package.
+The incomplete gammas and the Clenshaw recurrence come from :mod:`mincf.special`,
+so the production route loads no scipy or numpy.polynomial and makes no LAPACK
+or BLAS call, each of which adds to every CLI process's peak RSS. The
+quadrature oracles the tests hold these terms to are part of the test suite
+(``tests/oracles.py``), not of the package.
 """
 from __future__ import annotations
 
@@ -45,7 +43,7 @@ import numpy as np
 
 from .errors import GAMMA_MAX, GAMMA_MIN, DomainError
 from .families import Family, null_min_cf
-from .special import EULER_GAMMA, clenshaw, gammainc23, horner
+from .special import clenshaw, gammainc23
 
 
 @functools.cache
@@ -133,79 +131,8 @@ def _kernel_sum(g: float, y: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# The integrals of psi0 that depend only on gamma.
+# lam(z) and L: the vectorized table route.
 # ---------------------------------------------------------------------------
-
-def _psi0_integral(family: Family, g: float, k: int, p: int) -> float:
-    """int_0^inf t^k psi0(t)^p e^(-g t) dt by :func:`_gauss_legendre` on geometric pieces.
-
-    The pieces put the log t singularity of Pareto and Frechet at 0 and
-    Pareto's kink at t = 1 on their edges.
-    """
-    return float(_gauss_legendre(
-        lambda t: t ** k * null_min_cf(family, t) ** p * np.exp(-g * t), _geometric_edges(g)
-    ))
-
-
-@functools.cache
-def l_constant(family: Family, gamma: float) -> float:
-    """L = int_0^inf psi0(t)^2 e^(-gamma t) dt for the standard member.
-
-    One fixed Gauss-Legendre pass of a positive integrand, within 6e-16
-    relative of mpmath for gamma from 0.001 to 1000.
-    """
-    return _psi0_integral(family, _check_gamma(gamma), 0, 2)
-
-
-# ---------------------------------------------------------------------------
-# lam(z) = lam_inf - C(z): the complement's series above the panels.
-# ---------------------------------------------------------------------------
-
-#: Taylor coefficients of B(t) = psi0(t)/t + log t = (1 - e^(-t))/t + Ein(t) - EULER_GAMMA
-#: for Frechet: 1 - EULER_GAMMA, then (-1)^(k+1)/(k (k+1)!) to k = 26, as far as
-#: special's series of Ein.
-_FRECHET_SERIES = np.array(
-    [1.0 - EULER_GAMMA] + [(-1.0) ** (k + 1) / (k * math.factorial(k + 1)) for k in range(1, 27)]
-)
-
-#: Each family's _series_complement arguments (b, log) above the panels, where
-#: t <= 1/z <= min(1/40, 1/gamma): Weibull's psi0 is t up to e^(-1/t) < e^(-40),
-#: Pareto's t (1 - log t) and Frechet's t (B(t) - log t).
-_TAIL = {
-    Family.WEIBULL: ([1.0], False),
-    Family.PARETO: ([1.0], True),
-    Family.FRECHET: (_FRECHET_SERIES, True),
-}
-
-
-def _series_complement(g, a, b, log):
-    """C = int_0^a (1 - t/a) psi0(t) e^(-g t) dt for psi0(t) = t (B(t) - log t) on [0, a].
-
-    With e_k = (-g)^k/k!, d the coefficients of B(t) e^(-g t) (b convolved
-    with e) and r_k = 1/((k + 2)(k + 3)), term by term
-    C = a^2 [sum (d_k r_k + (2k + 5) e_k r_k^2) a^k - log a sum e_k r_k a^k]: two Horner sums.
-    Without the log term (``log`` false, psi0(t) = t B(t)) C = a^2 sum d_k r_k a^k.
-    """
-    k = np.arange(_FRECHET_SERIES.size, dtype=float)
-    e = (-g) ** k / np.cumprod(np.maximum(k, 1.0))
-    d = np.convolve(b, e)[:k.size]
-    r = 1.0 / ((k + 2.0) * (k + 3.0))
-    if not log:
-        return a * a * horner(a, (d * r)[::-1])
-    return a * a * (
-        horner(a, (d * r + (2.0 * k + 5.0) * e * r * r)[::-1])
-        - np.log(a) * horner(a, (e * r)[::-1])
-    )
-
-
-# ---------------------------------------------------------------------------
-# lam(z): the vectorized table route.
-# ---------------------------------------------------------------------------
-
-def lambda_complete(family: Family, gamma: float) -> float:
-    """Limit of lam(z) as z -> inf: int_0^inf psi0(t) e^(-gamma t) dt."""
-    return _psi0_integral(family, _check_gamma(gamma), 0, 1)
-
 
 _CHEB_DEG = 14
 #: Fit nodes cos(j pi/14) and the DCT-I taking values there to Chebyshev coefficients
@@ -215,22 +142,21 @@ _CHEB_NODES = np.cos(_J * np.pi / _CHEB_DEG)
 _HALF_ENDS = np.where(_J % _CHEB_DEG, 1.0, 0.5)
 _DCT = (2.0 / _CHEB_DEG) * _HALF_ENDS[:, None] * _HALF_ENDS * np.cos(
     np.outer(_J, _J) * np.pi / _CHEB_DEG)
-_MAX_PANELS = 256  # bounds one level's quadrature; gamma in range needs at most 33
+_MAX_PANELS = 256  # the last level m, so the loop ends; gamma in range stops by m = 32
 
 
 @dataclass(frozen=True)
 class LambdaTable:
-    """Vectorized evaluator of lam(z) for one (family, gamma).
+    """Vectorized evaluator of lam(z) for one (family, gamma), with L.
 
-    lam = lam_inf - C(z) from z_lo up. Chebyshev fits of C(e^u) on len(coeffs)
-    panels of width h cover [u_lo, u_lo + h len(coeffs)] = [log z_lo, log z_hi];
-    above z_hi C is the family's complement series. Below z_lo the exact
-    linear asymptote applies.
+    Below z_lo the exact linear asymptote applies. On [z_lo, z_hi),
+    lam = lam_inf - C(z), with Chebyshev fits of C(e^u) on len(coeffs) panels of
+    width h covering [u_lo, u_lo + h len(coeffs)] = [log z_lo, log z_hi]. From
+    z_hi up C rounds away against lam_inf, and lam is lam_inf.
     """
 
-    family: Family
-    gamma: float
     lam_inf: float
+    l_const: float
     z_lo: float
     z_hi: float
     slope: float
@@ -244,54 +170,59 @@ class LambdaTable:
         z = np.atleast_1d(z)
         out = np.empty_like(z)
         lo = z < self.z_lo
-        hi = z > self.z_hi
+        hi = z >= self.z_hi
         mid = ~(lo | hi)
         out[lo] = self.slope * z[lo]
-        if np.any(hi):
-            out[hi] = self.lam_inf - _series_complement(self.gamma, 1.0 / z[hi], *_TAIL[self.family])
-        if np.any(mid):
-            # Truncation, not floor: a log z rounded just below u_lo stays in panel 0.
-            x = (np.log(z[mid]) - self.u_lo) / self.h
-            idx = np.minimum(x.astype(np.intp), len(self.coeffs) - 1)
-            x = 2.0 * (x - idx) - 1.0
-            # One recurrence for all panels, each value gathering its panel's coefficients.
-            out[mid] = self.lam_inf - clenshaw(
-                x, (c.take(idx) for c in self.coeffs.T[::-1]))
+        out[hi] = self.lam_inf
+        # Truncation, not floor: a log z rounded just below u_lo stays in panel 0.
+        x = (np.log(z[mid]) - self.u_lo) / self.h
+        idx = np.minimum(x.astype(np.intp), len(self.coeffs) - 1)
+        x = 2.0 * (x - idx) - 1.0
+        # One recurrence for all panels, each value gathering its panel's coefficients.
+        out[mid] = self.lam_inf - clenshaw(x, (c.take(idx) for c in self.coeffs.T[::-1]))
         return float(out[0]) if scalar else out
 
 
 @functools.cache
 def lambda_table(family: Family, gamma: float) -> LambdaTable:
-    """Build (and cache) the lam evaluator for one (family, gamma).
+    """Build (and cache) the lam evaluator and L for one (family, gamma).
 
-    Levels of width h = (log max(40, gamma) - log(gamma/40))/m, m = 8, 16, 32, ...,
-    each fitted by the _DCT matrix, until every panel's last two Chebyshev
+    One Gauss-Legendre pass over :func:`_geometric_edges` integrates psi0 e^(-g t),
+    t psi0 e^(-g t) and psi0^2 e^(-g t) piece by piece. The running sums of the
+    first two give C below, and their totals lam_inf and the slope; the third's
+    total is L. Every integrand is positive, so nothing cancels.
+
+    C is fitted on levels of width h = (log max(40, gamma) - log(gamma/40))/m,
+    m = 8, 16, 32, ..., by the _DCT matrix, until every panel's last two Chebyshev
     coefficients are within 1e-14 * lam_inf, the series' own tail (as Chebfun reads
-    convergence; Aurentz & Trefethen 2017): 9 to 33 panels for gamma in [0.001, 1000].
-    The tails fall 1000 to 3000x a doubling to rounding, near 6.5e-16 * lam_inf, so
-    any bound from 1e-15 to 1e-13 gives the same errors. The panels are the whole
-    multiples of h that cover that range, so z = 1 is a panel edge: the
+    convergence; Aurentz & Trefethen 2017): 34 to 78 panels for gamma in
+    [0.001, 1000]. The tails fall 1000 to 3000x a doubling to rounding, near
+    6.5e-16 * lam_inf, so any bound from 1e-15 to 1e-13 gives the same errors. The
+    panels are the whole multiples of h from below gamma/40 up to z_hi, the first
+    edge where lam_inf - C rounds to lam_inf, so z = 1 is a panel edge: the
     second derivative of Pareto's psi0 jumps at t = 1, and the fourth of lam at
     z = 1. C rather than lam is fitted, so the fit rounds at the size of C, which
     on z >= 1, where standardized rows lie, is far below lam_inf for small gamma.
-    Past the top the tail series holds: 1/z <= min(1/40, 1/gamma).
     """
     g = _check_gamma(gamma)
-    lam_inf = lambda_complete(family, g)
     u_lo, u_hi = math.log(g / 40.0), math.log(max(40.0, g))
 
     def weighted(t):
         return null_min_cf(family, t) * np.exp(-g * t)
 
-    # C(z) = int_0^a (1 - z t) psi0(t) e^(-g t) dt at a = 1/z on _psi0_integral's
-    # pieces: the whole pieces below a from running sums of their integrals of
-    # psi0 e^(-g t) and t psi0 e^(-g t), the rest [edge_j, a] by one piece more.
-    # Pareto's kink t = 1 is a piece edge, so no piece straddles it.
+    def moments(t):
+        psi0 = null_min_cf(family, t)
+        w = psi0 * np.exp(-g * t)
+        return np.stack([w, t * w, psi0 * w])
+
+    # C(z) = int_0^a (1 - z t) psi0(t) e^(-g t) dt at a = 1/z on the pieces: the
+    # whole pieces below a from the running sums, the rest [edge_j, a] by one piece
+    # more. Pareto's kink t = 1 and the log t singularity at 0 are piece edges.
     edges = _geometric_edges(g)  # past 60/g; a beyond it adds a piece of mass below e^(-60)
-    moments = _gauss_legendre(lambda t: weighted(t) * np.stack([np.ones_like(t), t]),
-                              np.stack([edges[:-1], edges[1:]], axis=-1))
-    cum0, cum1 = np.cumsum(np.pad(moments, ((0, 0), (1, 0))), axis=-1)
-    slope = float(cum1[-1])  # lim lam(z)/z as z -> 0
+    pieces = _gauss_legendre(moments, np.stack([edges[:-1], edges[1:]], axis=-1))
+    cum0, cum1, cum2 = np.cumsum(np.pad(pieces, ((0, 0), (1, 0))), axis=-1)
+    # lam_inf = lim lam(z) as z -> inf, slope = lim lam(z)/z as z -> 0.
+    lam_inf, slope, l_const = float(cum0[-1]), float(cum1[-1]), float(cum2[-1])
 
     def f(u):
         z = np.exp(u)
@@ -304,18 +235,38 @@ def lambda_table(family: Family, gamma: float) -> LambdaTable:
     m = 8  # on a fine gamma grid no table meets the tolerance with fewer
     while True:
         h = (u_hi - u_lo) / m
-        k_lo, k_hi = math.floor(u_lo / h), math.ceil(u_hi / h)
-        # Panel k is [k h, (k + 1) h]; its end nodes x = -1, 1 fall on k h and (k + 1) h exactly.
-        vals = f(h * (np.arange(k_lo, k_hi) + 0.5 + 0.5 * _CHEB_NODES[:, None]))
-        # A broadcast product, not a matrix product: BLAS's first call costs peak RSS.
-        coeffs = (_DCT[:, :, None] * vals).sum(axis=1)
-        if np.max(np.abs(coeffs[-2:])) <= 1e-14 * lam_inf or m == _MAX_PANELS:
+        k_lo = math.floor(u_lo / h)
+        # psi0 rises and is at most 1, so C(z) <= psi0(1/z)/z <= 1/z. The top is the
+        # first edge where lam_inf less that bound rounds to lam_inf; any x up to
+        # 2^-54 lam_inf rounds away, so the edges tried end past z = 2^54/lam_inf.
+        ks = np.arange(k_lo + 1, math.ceil(math.log(2.0 ** 54 / lam_inf) / h) + 1)
+        top = np.exp(ks * h)
+        k_hi = int(ks[np.argmax(lam_inf - null_min_cf(family, 1.0 / top) / top == lam_inf)])
+        blocks = []
+        for k in range(k_lo, k_hi, 16):  # 16 panels a block bound the temporaries
+            # Panel k is [k h, (k + 1) h]; its end nodes x = -1, 1 fall on its edges exactly.
+            vals = f(h * (np.arange(k, min(k + 16, k_hi)) + 0.5 + 0.5 * _CHEB_NODES[:, None]))
+            # A broadcast product, not a matrix product: BLAS's first call costs peak RSS.
+            blocks.append((_DCT[:, :, None] * vals).sum(axis=1))
+            if np.max(np.abs(blocks[-1][-2:])) > 1e-14 * lam_inf and m < _MAX_PANELS:
+                break  # a tail too long: on to the next level
+        else:
             break
         m *= 2
     return LambdaTable(
-        family=family, gamma=g, lam_inf=lam_inf, z_lo=math.exp(k_lo * h),
-        z_hi=math.exp(k_hi * h), slope=slope, u_lo=k_lo * h, h=h, coeffs=coeffs.T,
+        lam_inf=lam_inf, l_const=l_const, z_lo=math.exp(k_lo * h), z_hi=math.exp(k_hi * h),
+        slope=slope, u_lo=k_lo * h, h=h, coeffs=np.concatenate(blocks, axis=1).T,
     )
+
+
+@functools.cache
+def l_constant(family: Family, gamma: float) -> float:
+    """L = int_0^inf psi0(t)^2 e^(-gamma t) dt for the standard member.
+
+    The third integral of :func:`lambda_table`'s Gauss-Legendre pass, within
+    6e-16 relative of mpmath for gamma from 0.001 to 1000.
+    """
+    return lambda_table(family, gamma).l_const
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from scipy.special import erf, exp1, gammainc, ndtr
 from mincf.errors import ConfigError, ConvergenceError, DomainError
 from mincf.families import AlternativeSpec, Family, ParamPair
 from mincf.special import gammainc23
-from mincf.stat import _check_gamma, lambda_complete
+from mincf.stat import _check_gamma, lambda_table
 
 
 class IntegrationError(RuntimeError):
@@ -327,7 +327,7 @@ def small_lambda(family: Family, gamma: float, z: float) -> float:
     z = float(z)
     if not (z > 0 and np.isfinite(z)):
         raise DomainError(f"lambda argument must be positive, got {z!r}")
-    return _lambda_via_complement(family, g, z, lambda_complete(family, g))
+    return _lambda_via_complement(family, g, z, lambda_table(family, g).lam_inf)
 
 
 def _lambda_via_complement(family: Family, g: float, z: float, lam_inf: float) -> float:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from mincf import estimation
+from mincf import estimation, gof_test
 from mincf.errors import DegenerateSampleError, DomainError
 from mincf.estimation import fit_batch, mle, solve_weibull_shape, standardize
 from mincf.families import Family, ParamPair, sample_null
@@ -27,6 +27,16 @@ def log_likelihood(family, x, c, phi):
             return -np.inf
         return np.sum(np.log(phi / c) - (phi + 1) * np.log(x / c))
     return np.sum(np.log(phi / c) - (1 + phi) * np.log(x / c) - (x / c) ** -phi)
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_infinite_value_rejected(family):
+    # The spread check read inf - 1 <= 1e-12 * inf as true: a "constant" sample.
+    data = [1.0, 2.0, float("inf")]
+    with pytest.raises(DomainError, match="finite"):
+        mle(family, data)
+    with pytest.raises(DomainError, match="finite"):
+        gof_test(data, family, [1.0], 10, seed=0)
 
 
 class TestPareto:

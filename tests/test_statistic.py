@@ -12,7 +12,9 @@ from numpy.polynomial.chebyshev import chebval
 
 from mincf.errors import DomainError
 from mincf.estimation import fit_batch, mle, standardize
-from mincf.families import Family, ParamPair, parse_alternative, sample_alternative, sample_null
+from mincf.families import (
+    Family, ParamPair, null_min_cf, parse_alternative, sample_alternative, sample_null,
+)
 from mincf.stat import (
     _CHEB_NODES,
     _DCT,
@@ -20,7 +22,6 @@ from mincf.stat import (
     _kernel_sum,
     batch_statistics,
     l_constant,
-    lambda_complete,
     lambda_table,
     statistic,
 )
@@ -183,11 +184,11 @@ class TestLConstant:
     def test_against_mpmath_outside_tested_gammas(self, family, gamma):
         # The psi0 integrals against a 30-digit reference, at a tolerance the
         # scipy oracle cannot hold (l_constant_oracle is about 1e-10 off at
-        # gamma = 30): L, lam_inf and Weibull's table slope. This is the one
-        # independent check of lam_inf, which small_lambda reads.
-        got = {(0, 2): l_constant(family, gamma), (0, 1): lambda_complete(family, gamma)}
-        if family is Family.WEIBULL:
-            got[1, 1] = lambda_table(family, gamma).slope
+        # gamma = 30): L, lam_inf and the table's slope, which serves every
+        # value below z_lo. This is the one independent check of lam_inf,
+        # which small_lambda reads.
+        table = lambda_table(family, gamma)
+        got = {(0, 2): l_constant(family, gamma), (0, 1): table.lam_inf, (1, 1): table.slope}
         psi0 = _mp_psi0(family)
         with mp.workdps(30):
             g = mp.mpf(gamma)
@@ -286,7 +287,7 @@ class TestLambdaTable:
         z = np.geomspace(1e-8, 1e8, 160)
         fast = table(z)
         ref = np.array([small_lambda(family, gamma, v) for v in z])
-        scale = max(1.0, lambda_complete(family, gamma))
+        scale = max(1.0, lambda_table(family, gamma).lam_inf)
         assert np.max(np.abs(fast - ref)) < 5e-10 * scale
 
     @pytest.mark.parametrize(("family", "gamma"), [
@@ -326,9 +327,10 @@ class TestLambdaTable:
         for gamma in np.geomspace(0.001, 1000.0, 121):
             for family in ALL_FAMILIES:
                 table = lambda_table(family, float(gamma))
-                # 33: the 32-panel level plus the panel that anchoring at z = 1 adds.
-                assert 1 <= len(table.coeffs) <= 33, (family, gamma)
-                # Every table stopped on its Chebyshev tail, none on the panel cap.
+                # 78: Weibull at gamma ~ 16 on the 16-panel level, whose panels run
+                # on past max(40, gamma) up to where C rounds away against lam_inf.
+                assert 1 <= len(table.coeffs) <= 78, (family, gamma)
+                # Every table stopped on its Chebyshev tail, none on the level cap.
                 assert np.max(np.abs(table.coeffs[:, -2:])) <= 1e-14 * table.lam_inf, (family, gamma)
                 if table.z_lo <= 1.0 <= table.z_hi:
                     k = -table.u_lo / table.h
@@ -343,8 +345,8 @@ class TestLambdaTable:
 class TestClosedFormLambda:
     """The lam table of every family against mpmath quadrature.
 
-    This checks the panels, the linear asymptote below them and the tail
-    series above them without the adaptive quadrature of TestLambdaTable.
+    This checks the panels and the linear asymptote below them without the
+    adaptive quadrature of TestLambdaTable.
     The z grid straddles every switch: the panel range, about
     [gamma/40, max(40, gamma)], and z = 1, Pareto's kink.
     """
@@ -364,7 +366,7 @@ class TestClosedFormLambda:
     def test_against_mpmath(self, family, gamma):
         ref = np.array([self._oracle(family, gamma, v) for v in self.Z])
         got = lambda_table(family, gamma)(self.Z)
-        scale = max(1.0, lambda_complete(family, gamma))
+        scale = max(1.0, lambda_table(family, gamma).lam_inf)
         assert np.max(np.abs(got - ref)) <= 5e-10 * scale
 
     @pytest.mark.parametrize("gamma", [0.001, 0.01, 0.1])
@@ -373,8 +375,8 @@ class TestClosedFormLambda:
         # 4.4e-10 * max(1, lam_inf) here at g = 0.001.
         z = self.Z[self.Z <= 1.0]
         ref = np.array([self._oracle(Family.PARETO, gamma, v) for v in z])
-        got = lambda_table(Family.PARETO, gamma)(z)
-        assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, lambda_complete(Family.PARETO, gamma))
+        table = lambda_table(Family.PARETO, gamma)
+        assert np.max(np.abs(table(z) - ref)) <= 1e-12 * max(1.0, table.lam_inf)
 
     @pytest.mark.parametrize("gamma", [0.001, 0.01])
     def test_pareto_above_the_kink_at_small_gamma(self, gamma):
@@ -382,8 +384,8 @@ class TestClosedFormLambda:
         # of lam_inf inside lam lost 4.8e-13 * max(1, lam_inf) here at g = 0.001.
         z = np.concatenate([[1.0], self.Z[self.Z > 1.0]])
         ref = np.array([self._oracle(Family.PARETO, gamma, v) for v in z])
-        got = lambda_table(Family.PARETO, gamma)(z)
-        assert np.max(np.abs(got - ref)) <= 1e-14 * max(1.0, lambda_complete(Family.PARETO, gamma))
+        table = lambda_table(Family.PARETO, gamma)
+        assert np.max(np.abs(table(z) - ref)) <= 1e-14 * max(1.0, table.lam_inf)
 
     @pytest.mark.parametrize("gamma", [0.001, 0.01])
     def test_frechet_at_small_gamma(self, gamma):
@@ -391,8 +393,8 @@ class TestClosedFormLambda:
         # gammas lost 2.2e-12 * max(1, lam_inf) here at g = 0.001, z = 0.249.
         z = np.concatenate([self.Z, np.geomspace(0.02, 0.249, 6)])
         ref = np.array([self._oracle(Family.FRECHET, gamma, v, dps=30) for v in z])
-        got = lambda_table(Family.FRECHET, gamma)(z)
-        assert np.max(np.abs(got - ref)) <= 1e-14 * max(1.0, lambda_complete(Family.FRECHET, gamma))
+        table = lambda_table(Family.FRECHET, gamma)
+        assert np.max(np.abs(table(z) - ref)) <= 1e-14 * max(1.0, table.lam_inf)
 
     @pytest.mark.parametrize("gamma", [5.0, 30.0])
     def test_weibull_relative_to_lam_inf(self, gamma):
@@ -400,7 +402,7 @@ class TestClosedFormLambda:
         # absolute: it allowed 1.7e-11 (g = 5) and 2.0e-9 (g = 30) of lam_inf.
         ref = np.array([self._oracle(Family.WEIBULL, gamma, v, dps=30) for v in self.Z])
         got = lambda_table(Family.WEIBULL, gamma)(self.Z)
-        assert np.max(np.abs(got - ref)) <= 1e-13 * lambda_complete(Family.WEIBULL, gamma)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * lambda_table(Family.WEIBULL, gamma).lam_inf
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     @pytest.mark.parametrize(("gamma", "lo", "hi"), [(1000.0, 50.0, 200.0), (1.0, 0.1, 0.15)])
@@ -410,13 +412,35 @@ class TestClosedFormLambda:
         z = np.linspace(lo, hi, 6)
         ref = np.array([self._oracle(family, gamma, v, dps=30) for v in z])
         got = lambda_table(family, gamma)(z)
-        assert np.max(np.abs(got - ref)) <= 2e-15 * lambda_complete(family, gamma)
+        assert np.max(np.abs(got - ref)) <= 2e-15 * lambda_table(family, gamma).lam_inf
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    @pytest.mark.parametrize("gamma", [0.001, 1.0, 5.0, 1000.0])
+    def test_lam_inf_from_the_top(self, family, gamma):
+        # From z_hi up lam is lam_inf itself, and just below it the panels do not
+        # pass lam_inf. On [40, 1e12] the table reads at most 3.7e-15 * lam_inf
+        # off (gamma = 1000, z = 40).
+        table = lambda_table(family, gamma)
+        # z_hi is the first panel edge where the bound C(z) <= psi0(1/z)/z rounds away.
+        k = round(table.u_lo / table.h) + len(table.coeffs)
+        for edge, rounds in ((k, True), (k - 1, False)):
+            z = math.exp(edge * table.h)
+            assert (table.lam_inf - null_min_cf(family, 1.0 / z) / z == table.lam_inf) is rounds
+        assert math.exp(k * table.h) == table.z_hi
+        above = np.geomspace(table.z_hi, 1e300, 200)
+        assert np.array_equal(table(above), np.full_like(above, table.lam_inf))
+        assert table(table.z_hi) == table.lam_inf
+        below = table.z_hi * (1.0 - np.geomspace(1e-15, 1e-3, 20))
+        assert np.all(table(below) <= table.lam_inf)
+        z = np.geomspace(40.0, 1e12, 7)
+        ref = np.array([self._oracle(family, gamma, v, dps=30) for v in z])
+        assert np.max(np.abs(table(z) - ref)) <= 5e-15 * table.lam_inf
 
     @pytest.mark.parametrize("z", [1e-8, 1e-3])
     def test_weibull_reference_at_large_gamma(self, z):
         # The mass of the complement integrand sits near t ~ 1/gamma = 1e-3, deep
         # inside [0, 1/z]; a quadrature that never samples there returns lam_inf.
-        lam_inf = lambda_complete(Family.WEIBULL, 1000.0)
+        lam_inf = lambda_table(Family.WEIBULL, 1000.0).lam_inf
         ref = self._oracle(Family.WEIBULL, 1000.0, z)
         assert abs(small_lambda(Family.WEIBULL, 1000.0, z) - ref) <= 1e-12 * lam_inf
 
