@@ -105,11 +105,20 @@ def _resolve_cache(args) -> NullCache | None:
     return NullCache(os.path.expanduser(args.cache_dir))
 
 
+def _write_json(path, obj) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
+
+
+def _header(command: str) -> dict:
+    return {"command": command, "version": __version__,
+            "statistic_code_version": STATISTIC_CODE_VERSION}
+
+
 def _write_report(args, report: dict) -> None:
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+        _write_json(args.out, report)
         print(f"report written to {args.out}")
 
 
@@ -131,9 +140,7 @@ def _cmd_test(args) -> int:
     for r in results:
         print(f"{r.gamma:8g} {r.statistic:14.6e} {r.p_value:10.4f}")
     report = {
-        "command": "test",
-        "version": __version__,
-        "statistic_code_version": STATISTIC_CODE_VERSION,
+        **_header("test"),
         "inputs": {
             "data": os.path.abspath(args.data),
             "n": int(data.size),
@@ -184,9 +191,7 @@ def _cmd_critvals(args) -> int:
                          "redraws": null.redraws})
             print(f"{n:5d} {gamma:8g} " + " ".join(f"{v:12.6e}" for v in cvs))
     report = {
-        "command": "critvals",
-        "version": __version__,
-        "statistic_code_version": STATISTIC_CODE_VERSION,
+        **_header("critvals"),
         "inputs": {
             "family": family.value, "n": sizes, "gammas": gammas,
             "alphas": alphas, "replicates": args.replicates,
@@ -237,9 +242,7 @@ def _cmd_power_study(args) -> int:
     print(f"results written to {csv_path}")
 
     manifest = {
-        "command": "power-study",
-        "version": __version__,
-        "statistic_code_version": STATISTIC_CODE_VERSION,
+        **_header("power-study"),
         "config": config.to_dict(),
         "workers": args.workers,
         "elapsed_seconds": elapsed,
@@ -247,15 +250,12 @@ def _cmd_power_study(args) -> int:
         "results_csv": os.path.abspath(csv_path),
     }
     manifest_path = os.path.splitext(csv_path)[0] + "_manifest.json"
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    _write_json(manifest_path, manifest)
     print(f"manifest written to {manifest_path}")
 
     for failure in study.failures:
         print(f"warning: {failure}", file=sys.stderr)
-    if getattr(args, "out", None):
-        _write_report(args, manifest)
+    _write_report(args, manifest)
     return EXIT_OK
 
 

@@ -172,11 +172,8 @@ def _log_likelihood(family: Family, x: np.ndarray, c: float, phi: float) -> floa
     logs = np.log(x)
     if family is Family.PARETO:
         return n * np.log(phi) + n * phi * np.log(c) - (phi + 1.0) * logs.sum()
-    if family in (Family.WEIBULL, Family.FRECHET):
-        sign = 1.0 if family is Family.WEIBULL else -1.0  # the mirror of fit_batch
-        return (n * np.log(phi) - sign * n * phi * np.log(c)
-                + (sign * phi - 1.0) * logs.sum() - n)
-    raise DomainError(f"unknown family {family!r}")
+    sign = 1.0 if family is Family.WEIBULL else -1.0  # the mirror of fit_batch
+    return n * np.log(phi) - sign * n * phi * np.log(c) + (sign * phi - 1.0) * logs.sum() - n
 
 
 def mle(family: Family, sample) -> Estimate:

@@ -126,12 +126,9 @@ def sample_null(family: Family, params: ParamPair, size, rng: np.random.Generato
 # Alternative distributions for power studies.
 # ---------------------------------------------------------------------------
 
-_ALT_NAMES = {
-    "W": "W", "P": "P", "G": "G", "GAMMA": "G", "LN": "LN",
-    "HN": "HN", "LFR": "LFR", "CH": "CH", "F": "F",
-}
-_TWO_PARAM = {"W", "P", "G", "F"}
-_ONE_PARAM = {"HN", "LFR", "CH"}
+#: The parameter counts each alternative takes; "Gamma" is another name for G.
+_ARITY = {"W": (2,), "P": (2,), "G": (2,), "F": (2,), "LN": (1, 2),
+          "HN": (1,), "LFR": (1,), "CH": (1,)}
 #: The laws of a null family: W(shape, scale) is the member (c, phi) = (scale, shape).
 _NULL_LAWS = {"W": Family.WEIBULL, "P": Family.PARETO, "F": Family.FRECHET}
 
@@ -149,16 +146,13 @@ class AlternativeSpec:
     shift: float = 0.0
 
     def __post_init__(self):
-        if self.name not in _ALT_NAMES.values():
+        if self.name not in _ARITY:
             raise ConfigError(f"unknown alternative name {self.name!r}")
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
-        k = len(self.params)
-        if self.name in _TWO_PARAM and k != 2:
-            raise ConfigError(f"{self.name} takes 2 parameters, got {k}")
-        if self.name in _ONE_PARAM and k != 1:
-            raise ConfigError(f"{self.name} takes 1 parameter, got {k}")
-        if self.name == "LN" and k not in (1, 2):
-            raise ConfigError(f"LN takes 1 or 2 parameters, got {k}")
+        k, arity = len(self.params), _ARITY[self.name]
+        if k not in arity:
+            noun = "parameter" if arity == (1,) else "parameters"
+            raise ConfigError(f"{self.name} takes {' or '.join(map(str, arity))} {noun}, got {k}")
         # Lognormal's first parameter of two is a log-scale location and may
         # be any real; every other parameter must be positive.
         positives = self.params[1:] if (self.name == "LN" and k == 2) else self.params
@@ -194,8 +188,8 @@ def parse_alternative(text: str) -> AlternativeSpec:
     if m is None:
         raise ConfigError(f"cannot parse alternative spec {text!r}")
     raw_name, raw_params, raw_shift = m.groups()
-    name = _ALT_NAMES.get(raw_name.upper())
-    if name is None:
+    name = {"GAMMA": "G"}.get(raw_name.upper(), raw_name.upper())
+    if name not in _ARITY:
         raise ConfigError(f"unknown alternative name {raw_name!r} in {text!r}")
     try:
         params = tuple(float(p) for p in raw_params.split(",") if p.strip())
@@ -235,9 +229,7 @@ def sample_alternative(spec: AlternativeSpec, size, rng: np.random.Generator) ->
         theta = spec.params[0]
         e = -np.log1p(-rng.random(size))
         x = 2.0 * e / (1.0 + np.sqrt(1.0 + 2.0 * theta * e))
-    elif name == "CH":
+    else:  # CH, the last name AlternativeSpec admits
         theta = spec.params[0]
         x = np.log1p(-np.log1p(-rng.random(size)) / 2.0) ** (1.0 / theta)
-    else:  # pragma: no cover
-        raise ConfigError(f"unknown alternative {name!r}")
     return np.add(x, spec.shift, out=x)

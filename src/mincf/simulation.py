@@ -166,13 +166,8 @@ class StudyConfig:
         for name in ("families", "alternatives", "gammas", "sample_sizes"):
             if not isinstance(d.get(name, []), list):
                 raise ConfigError(f"{name} must be a list, got {d[name]!r}")
-        kwargs = dict(d)
-        kwargs["families"] = tuple(Family.parse(f) for f in d["families"])
-        kwargs["alternatives"] = tuple(
-            a if isinstance(a, AlternativeSpec) else parse_alternative(a)
-            for a in d["alternatives"]
-        )
-        return cls(**kwargs)
+        return cls(**{**d, "families": [Family.parse(f) for f in d["families"]],
+                      "alternatives": [parse_alternative(a) for a in d["alternatives"]]})
 
     def to_dict(self) -> dict:
         return {
@@ -219,8 +214,7 @@ def _simulate_chunk(family, n, gammas, seed, i0, i1, alt):
     stats = np.empty((len(gammas), count))
     rows = max(1, _BLOCK // n)
     pending = np.arange(count)
-    redraws = 0
-    failed = np.zeros(count, dtype=bool)
+    redraws = failed = 0
     for _ in range(_MAX_ATTEMPTS):
         ok = np.concatenate([_score_block(family, gammas, x, pending[s:s + rows], stats)
                              for s in range(0, pending.size, rows)])
@@ -228,14 +222,14 @@ def _simulate_chunk(family, n, gammas, seed, i0, i1, alt):
         if pending.size == 0:
             break
         redraws += pending.size
-        failed[pending] = True
+        failed = failed or pending.size  # set once: later attempts refit only these rows
         x[pending] = _draw(family, alt, (pending.size, n), rng)
     else:
         raise EngineError(
             f"replicates kept failing the MLE after {_MAX_ATTEMPTS} redraws "
             f"({family.value}, n={n})"
         )
-    return stats, redraws, int(failed.sum())
+    return stats, redraws, failed
 
 
 def _score_block(family, gammas, x, block, stats):
@@ -619,11 +613,8 @@ class NullCache:
         A file that cannot be read back whole (empty, truncated, corrupt or
         missing a field) is a miss too; the next save replaces it.
         """
-        path = self._path(family, n, gamma, replicates, seed)
-        if not os.path.exists(path):
-            return None
         try:
-            with np.load(path) as payload:
+            with np.load(self._path(family, n, gamma, replicates, seed)) as payload:
                 header_ok = (
                     str(payload["family"]) == family.value
                     and int(payload["n"]) == n

@@ -26,15 +26,6 @@ EULER_GAMMA = 0.5772156649015329
 _P3_SERIES = np.array([1.0 / math.factorial(k) for k in range(3, 21)])
 
 
-def horner(x, c):
-    """sum c_k x^k, c given from the highest order down: polyval's operations in its order."""
-    c = iter(c)
-    acc = next(c) + x * 0
-    for ck in c:
-        acc = ck + acc * x
-    return acc
-
-
 def clenshaw(x, c):
     """sum c_k T_k(x) over two or more coefficients given from the highest order down,
     chebval's operations in chebval's order; c may gather each term as it is reached."""
@@ -46,12 +37,6 @@ def clenshaw(x, c):
     return c0 + c1 * x
 
 
-def _clamp(x):
-    # e^(-x) is 0.0 from x ~ 745 on, so capping x there changes no value and keeps
-    # x = inf from turning e^(-x) x^2 into 0 * inf.
-    return np.minimum(np.asarray(x, dtype=float), 750.0)
-
-
 def gammainc23(x):
     """Regularized lower incomplete gammas (P(2, x), P(3, x)) for x >= 0, elementwise.
 
@@ -59,7 +44,9 @@ def gammainc23(x):
     Below, where that difference cancels, P(3, x) = e^(-x) sum_(k>=3) x^k/k!
     (DLMF 8.7.1) and P(2, x) = P(3, x) + e^(-x) x^2/2, sums of positive terms.
     """
-    x = _clamp(x)
+    # e^(-x) is 0.0 from x ~ 745 on, so capping x there changes no value and keeps
+    # x = inf from turning e^(-x) x^2 into 0 * inf.
+    x = np.minimum(np.asarray(x, dtype=float), 750.0)
     shape = x.shape
     x = x.ravel()
     e = np.exp(-x)
@@ -67,7 +54,7 @@ def gammainc23(x):
     p3 = 1.0 - e * (1.0 + x + 0.5 * x * x)
     small = x < 1.0
     xs, es = x[small], e[small]
-    p3[small] = es * xs * xs * xs * horner(xs, _P3_SERIES[::-1])
+    p3[small] = es * xs * xs * xs * np.polyval(_P3_SERIES[::-1], xs)
     p2[small] = p3[small] + 0.5 * es * xs * xs
     return p2.reshape(shape), p3.reshape(shape)
 
@@ -135,7 +122,7 @@ def exp_integral_e1(z):
     out = np.empty_like(x)
     low = x <= 1.0
     xl = x[low]
-    out[low] = horner(xl, _E1_SERIES[::-1]) - EULER_GAMMA - np.log(xl)
+    out[low] = np.polyval(_E1_SERIES[::-1], xl) - EULER_GAMMA - np.log(xl)
     xh = x[~low]
     f = xh + (2 * _E1_CF_DEPTH + 1)
     for k in range(_E1_CF_DEPTH, 0, -1):

@@ -165,6 +165,9 @@ class LambdaTable:
     coeffs: np.ndarray
 
     def __call__(self, z):
+        """lam at z, which must be positive and finite (as MLE-standardized values are) and
+        is not checked: a negative z gives a meaningless number, and a NaN raises IndexError.
+        :func:`statistic` is the checked entry point."""
         z = np.asarray(z, dtype=float)
         scalar = z.ndim == 0
         z = np.atleast_1d(z)
@@ -308,6 +311,9 @@ def statistic(family: Family, y, gamma: float) -> StatisticBreakdown:
 
 
 def batch_statistics(family: Family, gamma: float, y: np.ndarray) -> np.ndarray:
-    """Statistic values for every row of a (B, n) standardized matrix."""
+    """Statistic values for every row of a (B, n) matrix of positive, finite,
+    MLE-standardized values. The engine's hot path checks nothing: a negative value
+    gives a meaningless number, and a NaN raises IndexError. :func:`statistic` is
+    the checked entry point."""
     double_sum, n_times_l, lambda_sum = _terms(family, _check_gamma(gamma), np.asarray(y, float))
     return double_sum + n_times_l - lambda_sum

@@ -263,18 +263,22 @@ def test_criterion_5_consistency():
 
 
 def k3_defining_integral(z: float) -> float:
-    """High-precision quadrature of the K_3 defining integral (t form).
+    """High-precision quadrature of the K_3 defining integral
+    K_3(z) = (z/2)^3 / 2 int_0^inf e^(-t - z^2/(4t)) t^-4 dt (DLMF 10.32.10).
 
-    The integrand's mass spans from ~z^2/2800 up to ~700, so the quadrature
-    gets a geometric ladder of split points across that whole range.
+    In the log variable t = t_p e^s, dt = t ds, about the integrand's peak t_p,
+    the root of t^2 + 4t = z^2/4, the mass lies within a few units of s = 0 for
+    every z, so fixed pieces of s serve the whole grid.
     """
     with mp.workdps(30):
         zm = mp.mpf(z)
-        lo = max(float(zm * zm / 3000.0), 1e-14)
-        pts = [0.0, *np.geomspace(lo, 750.0, 40), mp.inf]
-        integral = mp.quad(
-            lambda t: mp.e ** (-t - zm * zm / (4 * t)) * t ** -4, pts, maxdegree=8
-        )
+        tp = -2 + mp.sqrt(4 + zm * zm / 4)
+
+        def integrand(s):
+            t = tp * mp.e ** s
+            return mp.e ** (-t - zm * zm / (4 * t)) * t ** -3
+
+        integral = mp.quad(integrand, [-40, -8, -2, 0, 2, 8, 40], maxdegree=6)
         return float(0.5 * (zm / 2) ** 3 * integral)
 
 

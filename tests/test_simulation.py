@@ -191,6 +191,33 @@ class TestBuildNulls:
         with pytest.raises(EngineError, match=r"failed on 300 of 300 .*gamma=0\.5,1,5\)"):
             build_nulls(Family.WEIBULL, 10, GAMMAS, 300, seed=1)
 
+    @staticmethod
+    def fail_twice(monkeypatch, rows):
+        """Make the first two fit_batch calls fail the first ``rows`` rows they get."""
+        real_fit, calls = simulation.fit_batch, []
+
+        def fit(family, x):
+            c, phi, ok, iterations = real_fit(family, x)
+            calls.append(x)
+            if len(calls) <= 2:
+                ok[:rows] = False
+            return c, phi, ok, iterations
+
+        monkeypatch.setattr(simulation, "fit_batch", fit)
+
+    def test_replicate_failing_twice_counts_once(self, monkeypatch):
+        # One chunk of 300 rows, one block per attempt: every row fails its
+        # first two fits, so 600 redraws but 300 failed replicates.
+        self.fail_twice(monkeypatch, 300)
+        with pytest.raises(EngineError, match=r"failed on 300 of 300 "):
+            build_nulls(Family.WEIBULL, 10, GAMMAS, 300, seed=1)
+
+    def test_two_rows_failing_twice_redraw_four_times(self, monkeypatch):
+        # 2 failed replicates are within 1% of 300; each is redrawn twice.
+        self.fail_twice(monkeypatch, 2)
+        for null in build_nulls(Family.WEIBULL, 10, GAMMAS, 300, seed=1):
+            assert null.redraws == 4
+
     def test_each_table_is_built_once(self):
         # More gammas than a 32-entry LRU holds: every chunk must read the
         # tables _warm built, so each (family, gamma) misses exactly once.

@@ -237,7 +237,8 @@ class TestIncompleteGammas:
 
 
 class TestPolynomialHelpers:
-    """horner and clenshaw repeat numpy's polyval and chebval operation for operation."""
+    """np.polyval and clenshaw repeat numpy.polynomial's polyval and chebval operation
+    for operation."""
 
     # Every branch of gammainc23 and exp_integral_e1, with the floats either side of
     # their switch at 1 and of 4, where E1's fraction once took over from a table.
@@ -248,9 +249,16 @@ class TestPolynomialHelpers:
         from numpy.polynomial.chebyshev import chebval
         from numpy.polynomial.polynomial import polyval
         got = (*gammainc23(self.X), exp_integral_e1(self.X))
-        # The helpers take coefficients from the highest order down.
-        monkeypatch.setattr(special, "horner", lambda x, c: polyval(x, np.array(c)[::-1]))
+        sizes = []
+
+        def numpy_route(c, x):
+            # np.polyval takes coefficients from the highest order down, polyval from the lowest.
+            sizes.append(len(c))
+            return polyval(x, np.array(c)[::-1])
+
+        monkeypatch.setattr(special.np, "polyval", numpy_route)
         ref = (*gammainc23(self.X), exp_integral_e1(self.X))
+        assert sorted(set(sizes)) == [18, 27]  # P(3, x)'s series and E1's both took the route
         for a, b in zip(got, ref):
             assert np.array_equal(a, b)
         # No special function calls clenshaw any more; stat's lam panels do, with
