@@ -10,7 +10,7 @@ import argparse
 import os
 
 from . import __version__
-from .errors import GAMMA_MAX, GAMMA_MIN
+from .errors import GAMMA_MAX, GAMMA_MIN, WEIBULL_GAMMA_MAX
 
 _DEFAULT_CACHE = os.path.join("~", ".cache", "mincf")
 
@@ -42,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write a JSON report to this path")
 
     gamma_help = (f"comma-separated weight parameters, each in [{GAMMA_MIN:g}, {GAMMA_MAX:g}]"
-                  " (default 0.5,1,5)")
+                  f", or in [{GAMMA_MIN:g}, {WEIBULL_GAMMA_MAX:g}] for weibull (default 0.5,1,5)")
 
     p_test = sub.add_parser("test", help="test a dataset against a family")
     p_test.add_argument("--family", required=True, help="weibull | pareto | frechet")

@@ -153,8 +153,10 @@ class AlternativeSpec:
         if k not in arity:
             noun = "parameter" if arity == (1,) else "parameters"
             raise ConfigError(f"{self.name} takes {' or '.join(map(str, arity))} {noun}, got {k}")
+        if not all(map(math.isfinite, (*self.params, self.shift))):
+            raise ConfigError(f"parameters and shift of {self} must be finite")
         # Lognormal's first parameter of two is a log-scale location and may
-        # be any real; every other parameter must be positive.
+        # be any finite real; every other parameter must be positive.
         positives = self.params[1:] if (self.name == "LN" and k == 2) else self.params
         if not all(p > 0 for p in positives):
             raise ConfigError(f"parameters of {self} must be positive")

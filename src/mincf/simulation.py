@@ -37,7 +37,8 @@ from .families import (
     sample_alternative,
     sample_null,
 )
-from .stat import GAMMA_MAX, GAMMA_MIN, batch_statistics, l_constant, lambda_table, statistic
+from .stat import batch_statistics, check_gamma, lambda_table, statistic
+from .stat import l_constant  # noqa: F401  (unused here; perfbench traces simulation.l_constant)
 
 #: Bump when the statistic implementation changes; cached nulls are keyed on it.
 STATISTIC_CODE_VERSION = "18"
@@ -69,8 +70,8 @@ class NullDistribution:
 
     def __post_init__(self):
         stats = np.asarray(self.sorted_stats, dtype=float)
-        if stats.size != self.replicates:
-            raise ConfigError("sorted_stats length must equal replicates")
+        if stats.ndim != 1 or stats.size != self.replicates:
+            raise ConfigError("sorted_stats must be a 1-D array of replicates values")
 
 
 @dataclass(frozen=True)
@@ -110,13 +111,11 @@ def _count(name: str, value, low: int) -> int:
     return int(value)
 
 
-def _number(name: str, value, low: float, high: float, closed: bool = False) -> float:
-    """A config number in the open interval (low, high), or in [low, high] if
-    ``closed``; NaN and strings are not."""
+def _number(name: str, value, low: float, high: float) -> float:
+    """A config number in the open interval (low, high); NaN and strings are not."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not (low <= value <= high if closed else low < value < high)):
-        span = f"[{low:g}, {high:g}]" if closed else f"({low:g}, {high:g})"
-        raise ConfigError(f"{name} must be a number in {span}, got {value!r}")
+            or not low < value < high):
+        raise ConfigError(f"{name} must be a number in ({low:g}, {high:g}), got {value!r}")
     return float(value)
 
 
@@ -136,14 +135,14 @@ class StudyConfig:
     def __post_init__(self):
         object.__setattr__(self, "families", tuple(self.families))
         object.__setattr__(self, "alternatives", tuple(self.alternatives))
-        object.__setattr__(self, "gammas", tuple(
-            _number("gamma", g, GAMMA_MIN, GAMMA_MAX, closed=True) for g in self.gammas
-        ))
         object.__setattr__(
             self, "sample_sizes", tuple(_count("sample size", n, 3) for n in self.sample_sizes)
         )
         if not self.families or not self.alternatives or not self.gammas or not self.sample_sizes:
             raise ConfigError("families, alternatives, gammas and sample_sizes must be nonempty")
+        for family in self.families:  # each family against each gamma
+            gammas = tuple(check_gamma(family, g) for g in self.gammas)
+        object.__setattr__(self, "gammas", gammas)
         _number("alpha", self.alpha, 0.0, 1.0)
         _count("replicates", self.replicates, 100)
         if self.crit_replicates is not None:
@@ -298,7 +297,6 @@ def _warm(passes):
     for family, _, gammas, *_ in passes:
         for gamma in gammas:
             lambda_table(family, gamma)
-            l_constant(family, gamma)
 
 
 def _attempt(chunk):
@@ -370,6 +368,8 @@ def _null_plan(family, n, gammas, replicates, seed, cache):
         raise DomainError("need n >= 3")
     _check_replicates(replicates)
     _count("seed", seed, 0)
+    for g in gammas:
+        check_gamma(family, g)
     nulls = {g: cache.load(family, n, g, replicates, seed) if cache else None for g in gammas}
     missing = tuple(g for g, null in nulls.items() if null is None)
     if not missing:
@@ -484,6 +484,7 @@ def power(
     """Empirical rejection rate against a fixed alternative."""
     if (null.family, null.n) != (family, n) or null.gamma != float(gamma):
         raise ConfigError("null distribution does not match (family, n, gamma)")
+    check_gamma(family, null.gamma)
     _check_replicates(replicates)
     _count("seed", seed, 0)
     (outcome,) = _run_passes([(family, n, (null.gamma,), replicates, seed, alt)], workers)
@@ -600,35 +601,34 @@ class NullCache:
         self.directory = os.fspath(directory)
         os.makedirs(self.directory, exist_ok=True)
 
+    @staticmethod
+    def _header(family: Family, n: int, gamma: float, replicates: int, seed: int) -> dict:
+        """A record's header fields, in file order: its key and the statistic's version."""
+        return {"family": family.value, "n": n, "gamma": float(gamma), "replicates": replicates,
+                "seed": seed, "version": STATISTIC_CODE_VERSION}
+
     def _path(self, family: Family, n: int, gamma: float, replicates: int, seed: int) -> str:
-        name = (
-            f"{family.value}_n{n}_g{float(gamma)!r}_N{replicates}"
-            f"_s{seed}_v{STATISTIC_CODE_VERSION}.npz"
-        )
-        return os.path.join(self.directory, name)
+        """The header's fields after their tags: weibull_n40_g1.0_N300_s5_v18.npz."""
+        values = self._header(family, n, gamma, replicates, seed).values()
+        name = "_".join(f"{tag}{v}" for tag, v in zip(("", "n", "g", "N", "s", "v"), values))
+        return os.path.join(self.directory, f"{name}.npz")
 
     def load(self, family, n, gamma, replicates, seed) -> NullDistribution | None:
         """The cached null for these parameters, or None on a miss.
 
         A file that cannot be read back whole (empty, truncated, corrupt or
-        missing a field) is a miss too; the next save replaces it.
+        missing a field), or whose fields do not match the header one by one
+        as scalars, is a miss too; the next save replaces it.
         """
+        header = self._header(family, n, gamma, replicates, seed)
         try:
             with np.load(self._path(family, n, gamma, replicates, seed)) as payload:
-                header_ok = (
-                    str(payload["family"]) == family.value
-                    and int(payload["n"]) == n
-                    and float(payload["gamma"]) == float(gamma)
-                    and int(payload["replicates"]) == replicates
-                    and int(payload["seed"]) == seed
-                    and str(payload["version"]) == STATISTIC_CODE_VERSION
-                )
-                if not header_ok:
+                if any(payload[k].item() != v for k, v in header.items()):
                     return None
                 return NullDistribution(
-                    family=family, n=n, gamma=float(gamma), replicates=replicates,
+                    family=family, n=n, gamma=header["gamma"], replicates=replicates,
                     sorted_stats=payload["sorted_stats"].copy(), seed=seed,
-                    redraws=int(payload["redraws"]),
+                    redraws=_count("redraws", payload["redraws"].item(), 0),
                 )
         except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile):
             return None
@@ -636,23 +636,15 @@ class NullCache:
     def save(self, null: NullDistribution) -> str:
         import uuid  # only a cache write needs it; runs that only read skip its import
 
-        path = self._path(null.family, null.n, null.gamma, null.replicates, null.seed)
+        key = (null.family, null.n, null.gamma, null.replicates, null.seed)
+        path = self._path(*key)
         # Each writer fills its own temp file and renames it into place, so
         # processes sharing the directory never see or clobber a partial file.
         tmp = f"{path}.{uuid.uuid4().hex}.tmp"
         try:
             with open(tmp, "xb") as fh:
-                np.savez(
-                    fh,
-                    family=null.family.value,
-                    n=null.n,
-                    gamma=np.float64(null.gamma),
-                    replicates=null.replicates,
-                    seed=null.seed,
-                    version=STATISTIC_CODE_VERSION,
-                    redraws=null.redraws,
-                    sorted_stats=null.sorted_stats,
-                )
+                np.savez(fh, **self._header(*key), redraws=null.redraws,
+                         sorted_stats=null.sorted_stats)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):

@@ -24,8 +24,11 @@ method) over positive integrands on :func:`_geometric_edges` gives C's running
 sums and every per-gamma integral of psi0: lam_inf, the slope lam(z)/z at
 z -> 0 and L (:func:`l_constant`).
 
-Every public function takes gamma in [GAMMA_MIN, GAMMA_MAX] = [0.001, 1000], the
-range the tests check lam and L against mpmath, and raises DomainError outside it.
+:func:`lambda_table`, :func:`l_constant` and :func:`batch_statistics` take gamma in
+[GAMMA_MIN, GAMMA_MAX] = [0.001, 1000] for every family, the range the tests check
+lam and L against mpmath; the tables raise DomainError outside it. :func:`statistic`
+takes gamma in its family's range (:func:`check_gamma`): up to WEIBULL_GAMMA_MAX = 30
+for Weibull, whose T is rounding noise from about 300, and up to 1000 for the others.
 
 The incomplete gammas and the Clenshaw recurrence come from :mod:`mincf.special`,
 so the production route loads no scipy or numpy.polynomial and makes no LAPACK
@@ -37,11 +40,12 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GAMMA_MAX, GAMMA_MIN, DomainError
+from .errors import GAMMA_MAX, GAMMA_MIN, WEIBULL_GAMMA_MAX, ConfigError, DomainError
 from .families import Family, null_min_cf
 from .special import clenshaw, gammainc23
 
@@ -87,10 +91,22 @@ def _geometric_edges(g):
 
 
 def _check_gamma(gamma) -> float:
+    """gamma as a float if lam and L are checked there, for every family."""
     g = float(gamma)
     if not GAMMA_MIN <= g <= GAMMA_MAX:
         raise DomainError(f"gamma must lie in [{GAMMA_MIN:g}, {GAMMA_MAX:g}], got {gamma!r}")
     return g
+
+
+def check_gamma(family: Family, gamma) -> float:
+    """gamma as a float if the statistic of ``family`` is checked there, else a
+    ConfigError naming the family's range; bools and strings are not gammas."""
+    hi = WEIBULL_GAMMA_MAX if family is Family.WEIBULL else GAMMA_MAX
+    if (isinstance(gamma, bool) or not isinstance(gamma, numbers.Real)
+            or not GAMMA_MIN <= gamma <= hi):
+        raise ConfigError(
+            f"gamma for {family.value} must be a number in [{GAMMA_MIN:g}, {hi:g}], got {gamma!r}")
+    return float(gamma)
 
 
 @dataclass(frozen=True)
@@ -279,12 +295,13 @@ def l_constant(family: Family, gamma: float) -> float:
 def _terms(family: Family, g: float, y: np.ndarray):
     """(sum K / n, n L, 2 sum lam) for every row of the (B, n) matrix y.
 
-    The double sum from :func:`_kernel_sum`, lam from :func:`lambda_table`
-    and L from :func:`l_constant`, in O(B n log n) time and O(B n) memory.
+    The double sum from :func:`_kernel_sum`, lam and L from the one
+    :func:`lambda_table`, in O(B n log n) time and O(B n) memory.
     """
     b, n = y.shape
-    lam = lambda_table(family, g)(y.reshape(-1)).reshape(b, n).sum(axis=1)
-    return _kernel_sum(g, y) / n, n * l_constant(family, g), 2.0 * lam
+    table = lambda_table(family, g)
+    lam = table(y.reshape(-1)).reshape(b, n).sum(axis=1)
+    return _kernel_sum(g, y) / n, n * table.l_const, 2.0 * lam
 
 
 def statistic(family: Family, y, gamma: float) -> StatisticBreakdown:
@@ -293,7 +310,7 @@ def statistic(family: Family, y, gamma: float) -> StatisticBreakdown:
     The one-row case of :func:`batch_statistics`, with the input checked and
     the three terms kept.
     """
-    g = _check_gamma(gamma)
+    g = check_gamma(family, gamma)
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:
         raise DomainError(f"statistic needs a 1-D sample, got shape {y.shape}")
@@ -312,8 +329,8 @@ def statistic(family: Family, y, gamma: float) -> StatisticBreakdown:
 
 def batch_statistics(family: Family, gamma: float, y: np.ndarray) -> np.ndarray:
     """Statistic values for every row of a (B, n) matrix of positive, finite,
-    MLE-standardized values. The engine's hot path checks nothing: a negative value
-    gives a meaningless number, and a NaN raises IndexError. :func:`statistic` is
-    the checked entry point."""
-    double_sum, n_times_l, lambda_sum = _terms(family, _check_gamma(gamma), np.asarray(y, float))
+    MLE-standardized values. The engine's hot path checks nothing but gamma, which
+    the table build checks on a cache miss: a negative value gives a meaningless
+    number, and a NaN raises IndexError. :func:`statistic` is the checked entry point."""
+    double_sum, n_times_l, lambda_sum = _terms(family, gamma, np.asarray(y, float))
     return double_sum + n_times_l - lambda_sum

@@ -283,13 +283,21 @@ def k3_defining_integral(z: float) -> float:
 
 
 def e1_defining_integral(z: float) -> float:
-    """High-precision quadrature of int_z^inf e^(-u)/u du."""
+    """High-precision quadrature of E_1(z) = int_z^inf e^(-u)/u du.
+
+    With u = z e^s and e^(-z) taken out, E_1(z) = e^(-z) int_0^inf exp(-z expm1(s)) ds.
+    The integrand is at most 1 and the integral about min(log(1/z), 1/z), so
+    mpmath's absolute error target is a relative one at every z, where the
+    integral in u falls to 1e-285. The pieces end where z expm1(s) is 0, 1, 4,
+    16 and 80, and where z e^s is c for each c in {1e-4, 0.01, 1} above z. The
+    tail past z expm1(s) = 80 is below e^-80/(z + 80), under 1e-34 of the integral.
+    """
     with mp.workdps(30):
         zm = mp.mpf(z)
-        hi = max(z + 40.0, 40.0)
-        ladder = [p for p in np.geomspace(z, hi, 24) if p > z]
-        pts = [zm, *ladder, mp.inf]
-        return float(mp.quad(lambda u: mp.e ** (-u) / u, pts, maxdegree=10))
+        pts = {mp.log1p(w / zm) for w in (0, 1, 4, 16, 80)}
+        pts |= {mp.log(c / zm) for c in (1e-4, 0.01, 1.0) if c > z}
+        integral = mp.quad(lambda s: mp.exp(-zm * mp.expm1(s)), sorted(pts), maxdegree=6)
+        return float(mp.exp(-zm) * integral)
 
 
 def test_criterion_6_special_functions():

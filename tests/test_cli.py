@@ -16,6 +16,9 @@ from mincf.errors import ConfigError
 
 from helpers import checkout_env, run_python
 
+#: The gamma range each family's statistic is checked in, as error messages print it.
+GAMMA_RANGE = {"weibull": "[0.001, 30]", "pareto": "[0.001, 1000]", "frechet": "[0.001, 1000]"}
+
 
 @pytest.fixture
 def exp_data(tmp_path):
@@ -143,7 +146,14 @@ class TestTestCommand:
         code = main(["test", "--family", family, "--data", exp_data, "--gamma", "1,2000",
                      "--replicates", "200", "--workers", "1", "--no-cache"])
         assert code == EXIT_INPUT
-        assert "[0.001, 1000]" in capsys.readouterr().err
+        assert GAMMA_RANGE[family] in capsys.readouterr().err
+
+    def test_weibull_above_30_exits_2(self, exp_data, capsys):
+        # From gamma ~ 300, Weibull's T is the rounding noise of its terms.
+        code = main(["test", "--family", "weibull", "--data", exp_data, "--gamma", "300",
+                     "--replicates", "200", "--workers", "1", "--no-cache"])
+        assert code == EXIT_INPUT
+        assert "gamma for weibull must be a number in [0.001, 30]" in capsys.readouterr().err
 
     def test_unknown_family_exits_2(self, exp_data):
         assert main(["test", "--family", "normal", "--data", exp_data,
@@ -186,12 +196,30 @@ class TestTestCommand:
         assert main(args) == EXIT_OK
         (name,) = os.listdir(cache_dir)
         path = os.path.join(cache_dir, name)
-        with open(path, "r+b") as fh:
-            fh.truncate(os.path.getsize(path) // 2)
-        assert main(args) == EXIT_OK
-        assert os.listdir(cache_dir) == [name]
-        null = NullCache(cache_dir).load(Family.WEIBULL, 40, 1.0, 300, 5)
-        assert null is not None and null.sorted_stats.size == 300
+        cache = NullCache(cache_dir)
+        written = cache.load(Family.WEIBULL, 40, 1.0, 300, 5)
+
+        def truncate():
+            with open(path, "r+b") as fh:
+                fh.truncate(os.path.getsize(path) // 2)
+
+        def replace(key, value):
+            # The record as written, with one field of the wrong shape.
+            with np.load(path) as payload:
+                fields = {k: payload[k] for k in payload.files}
+            fields[key] = value(fields[key])
+            with open(path, "wb") as fh:
+                np.savez(fh, **fields)
+
+        for damage in (truncate, lambda: replace("n", lambda n: np.array([n, n])),
+                       lambda: replace("sorted_stats", lambda s: s.reshape(20, 15))):
+            damage()
+            assert cache.load(Family.WEIBULL, 40, 1.0, 300, 5) is None
+            assert main(args) == EXIT_OK
+            assert os.listdir(cache_dir) == [name]
+            null = cache.load(Family.WEIBULL, 40, 1.0, 300, 5)
+            assert null is not None and null.sorted_stats.size == 300
+            assert np.array_equal(null.sorted_stats, written.sorted_stats)
 
 
 @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--workers", "0"),
@@ -237,12 +265,26 @@ class TestCritvalsCommand:
         code = main(["critvals", "--family", family, "--n", "10", "--gamma", gamma,
                      "--replicates", "200", "--workers", "1", "--no-cache"])
         assert code == EXIT_INPUT
-        assert "[0.001, 1000]" in capsys.readouterr().err
+        assert GAMMA_RANGE[family] in capsys.readouterr().err
 
     @pytest.mark.parametrize("family", ["weibull", "pareto", "frechet"])
     def test_gamma_at_the_range_ends_runs(self, family):
-        assert main(["critvals", "--family", family, "--n", "10", "--gamma", "0.001,1000",
+        ends = "0.001,30" if family == "weibull" else "0.001,1000"
+        assert main(["critvals", "--family", family, "--n", "10", "--gamma", ends,
                      "--replicates", "200", "--workers", "1", "--no-cache"]) == EXIT_OK
+
+    @pytest.mark.parametrize("family, gamma", [("weibull", "300"), ("pareto", "2000")])
+    def test_gamma_outside_the_family_range_exits_2_before_any_draw(self, monkeypatch, capsys,
+                                                                    family, gamma):
+        def no_draw(*args):
+            raise AssertionError("drew a sample")
+
+        monkeypatch.setattr(simulation, "_draw", no_draw)
+        code = main(["critvals", "--family", family, "--n", "10", "--gamma", f"1,{gamma}",
+                     "--replicates", "200", "--workers", "1", "--no-cache"])
+        assert code == EXIT_INPUT
+        assert f"gamma for {family} must be a number in {GAMMA_RANGE[family]}" in (
+            capsys.readouterr().err)
 
     def test_killed_helper_exits_3_and_is_reaped(self, monkeypatch, capsys):
         caller, real_fit = os.getpid(), simulation.fit_batch
@@ -357,14 +399,30 @@ class TestPowerStudyCommand:
         assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
     def test_invalid_alternative_exits_2_naming_it(self, tmp_path, capsys):
+        # An unknown name, and non-finite parameters or shifts, named as parsed.
+        cfg_path = tmp_path / "study.json"
+        for spec, named in [("NOPE(1)", "NOPE"), ("W(1e999,1)", "W(inf,1)"),
+                            ("CH(inf)", "CH(inf)"), ("LN(-inf,1)", "LN(-inf,1)"),
+                            ("LN(1)+1e999", "LN(1)+inf")]:
+            cfg_path.write_text(json.dumps({
+                "families": ["weibull"], "alternatives": [spec],
+                "replicates": 200, "seed": 1,
+            }))
+            code = main(["power-study", "--config", str(cfg_path), "--no-cache"])
+            assert code == EXIT_INPUT
+            assert named in capsys.readouterr().err
+
+    def test_weibull_above_30_exits_2_writing_nothing(self, tmp_path, capsys):
         cfg_path = tmp_path / "study.json"
         cfg_path.write_text(json.dumps({
-            "families": ["weibull"], "alternatives": ["NOPE(1)"],
-            "replicates": 200, "seed": 1,
+            "families": ["pareto", "weibull"], "alternatives": ["LN(1)"],
+            "gammas": [1.0, 300.0], "sample_sizes": [10], "replicates": 200, "seed": 1,
         }))
-        code = main(["power-study", "--config", str(cfg_path), "--no-cache"])
+        code = main(["power-study", "--config", str(cfg_path), "--no-cache",
+                     "--out-csv", str(tmp_path / "out.csv")])
         assert code == EXIT_INPUT
-        assert "NOPE" in capsys.readouterr().err
+        assert "gamma for weibull must be a number in [0.001, 30]" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["study.json"]
 
     @pytest.mark.parametrize("field, value", [
         ("replicates", "500"), ("sample_sizes", ["x"]), ("seed", "x"), ("gammas", [-1]),

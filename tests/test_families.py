@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -278,6 +279,14 @@ class TestSpecParser:
     ])
     def test_rejects(self, bad):
         with pytest.raises(ConfigError):
+            parse_alternative(bad)
+
+    @pytest.mark.parametrize("bad, named", [
+        ("W(1e999,1)", "W(inf,1)"), ("CH(inf)", "CH(inf)"), ("LN(-inf,1)", "LN(-inf,1)"),
+        ("LN(nan,1)", "LN(nan,1)"), ("LN(1)+1e999", "LN(1)+inf"),
+    ])
+    def test_rejects_non_finite_parameters_and_shifts(self, bad, named):
+        with pytest.raises(ConfigError, match=re.escape(f"{named} must be finite")):
             parse_alternative(bad)
 
     def test_lognormal_location_may_be_negative(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import tracemalloc
 
@@ -20,6 +21,7 @@ from mincf.families import (
     sample_null,
 )
 from mincf.simulation import (
+    STATISTIC_CODE_VERSION,
     NullCache,
     NullDistribution,
     StudyConfig,
@@ -91,6 +93,12 @@ class TestPValue:
         null = toy_null(np.linspace(0, 1, 99))
         assert 0.0 < p_value(null, 1e9) <= 1.0
         assert p_value(null, -1e9) == 1.0
+
+    def test_two_dimensional_stats_rejected(self):
+        # 300 values in a (20, 15) array would fail later, in p_value's search.
+        with pytest.raises(ConfigError, match="1-D"):
+            NullDistribution(family=Family.WEIBULL, n=20, gamma=1.0, replicates=300,
+                             sorted_stats=np.zeros((20, 15)), seed=0)
 
 
 class TestBuildNull:
@@ -219,14 +227,14 @@ class TestBuildNulls:
             assert null.redraws == 4
 
     def test_each_table_is_built_once(self):
-        # More gammas than a 32-entry LRU holds: every chunk must read the
-        # tables _warm built, so each (family, gamma) misses exactly once.
-        gammas = np.geomspace(0.5, 50.0, 40)
+        # Every chunk must read the tables _warm built, so each (family, gamma)
+        # misses exactly once, and L comes from the table, not l_constant.
+        gammas = np.geomspace(0.5, 30.0, 40)
         stat.lambda_table.cache_clear()
         stat.l_constant.cache_clear()
         build_nulls(Family.WEIBULL, 10, gammas, 1100, seed=5)
         assert stat.lambda_table.cache_info().misses == 40
-        assert stat.l_constant.cache_info().misses == 40
+        assert stat.l_constant.cache_info().misses == 0
 
     def test_partial_cache_simulates_only_the_misses(self, tmp_path):
         data = np.random.default_rng(4).exponential(size=30)
@@ -492,6 +500,15 @@ class TestPower:
             power(Family.WEIBULL, parse_alternative("LN(1)"), 10, 1.0, 0.05,
                   replicates, null, seed=4)
 
+    def test_weibull_null_above_30_rejected_before_any_draw(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew a sample")
+
+        monkeypatch.setattr(simulation, "_draw", no_draw)
+        null = toy_null(np.arange(1.0, 201.0), n=10, gamma=300.0)
+        with pytest.raises(ConfigError, match=r"\[0.001, 30\]"):
+            power(Family.WEIBULL, parse_alternative("LN(1)"), 10, 300.0, 0.05, 200, null, seed=4)
+
     def test_engine_error_on_unfittable_alternative(self):
         # A law this degenerate drives the fitted shape out of range on
         # every replicate, which must surface as an engine failure.
@@ -658,6 +675,39 @@ class TestSeedDerivation:
 
 
 class TestCache:
+    def test_file_in_the_explicit_layout_loads_bit_for_bit(self, tmp_path):
+        # The layout the cache has always written, field by field, so files
+        # from either side of a change to NullCache load on the other.
+        cache = NullCache(tmp_path)
+        null = build_null(Family.PARETO, 8, 0.5, 300, seed=2)
+        path = cache._path(Family.PARETO, 8, 0.5, 300, 2)
+        assert os.path.basename(path) == f"pareto_n8_g0.5_N300_s2_v{STATISTIC_CODE_VERSION}.npz"
+        with open(path, "wb") as fh:
+            np.savez(fh, family="pareto", n=8, gamma=np.float64(0.5), replicates=300, seed=2,
+                     version=STATISTIC_CODE_VERSION, redraws=null.redraws,
+                     sorted_stats=null.sorted_stats)
+        hit = cache.load(Family.PARETO, 8, 0.5, 300, 2)
+        assert hit == dataclasses.replace(null, sorted_stats=hit.sorted_stats)
+        assert hit.sorted_stats.tobytes() == null.sorted_stats.tobytes()
+        with np.load(path) as explicit:
+            expected = {k: explicit[k] for k in explicit.files}
+        cache.save(null)
+        with np.load(path) as written:
+            assert written.files == list(expected)
+            for k, v in expected.items():
+                assert written[k].dtype == v.dtype and written[k].tobytes() == v.tobytes(), k
+
+    @pytest.mark.parametrize("redraws", [[0, 0], np.inf, 1j, -1, 2.0],
+                             ids=["non-scalar", "inf", "complex", "negative", "float"])
+    def test_redraws_that_is_not_a_count_is_a_miss(self, tmp_path, redraws):
+        cache = NullCache(tmp_path)
+        null = build_null(Family.WEIBULL, 8, 1.0, 300, seed=2)
+        with open(cache._path(Family.WEIBULL, 8, 1.0, 300, 2), "wb") as fh:
+            np.savez(fh, family="weibull", n=8, gamma=1.0, replicates=300, seed=2,
+                     version=STATISTIC_CODE_VERSION, redraws=redraws,
+                     sorted_stats=null.sorted_stats)
+        assert cache.load(Family.WEIBULL, 8, 1.0, 300, 2) is None
+
     def test_round_trip_bit_exact(self, tmp_path):
         cache = NullCache(tmp_path)
         null = build_null(Family.FRECHET, 8, 0.5, 300, seed=2, cache=cache)
