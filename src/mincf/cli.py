@@ -30,6 +30,7 @@ from .simulation import (
     STATISTIC_CODE_VERSION,
     NullCache,
     StudyConfig,
+    _number,
     build_null,  # unused here; perfbench traces cli.build_null
     build_nulls,
     critical_value,
@@ -82,20 +83,20 @@ def read_data_file(path: str) -> np.ndarray:
     return np.asarray(values)
 
 
-def _float_list(text: str) -> list[float]:
+def _float_list(flag: str, text: str) -> list[float]:
     try:
         out = [float(v) for v in text.split(",") if v.strip()]
     except ValueError:
-        raise ConfigError(f"cannot parse {text!r} as a comma-separated float list")
+        raise ConfigError(f"{flag}: cannot parse {text!r} as a comma-separated float list")
     if not out:
-        raise ConfigError("empty list")
+        raise ConfigError(f"{flag}: empty list")
     return out
 
 
-def _int_list(text: str) -> list[int]:
-    out = _float_list(text)
+def _int_list(flag: str, text: str) -> list[int]:
+    out = _float_list(flag, text)
     if not all(v.is_integer() for v in out):  # also False for inf and nan
-        raise ConfigError(f"{text!r} is not a comma-separated list of integers")
+        raise ConfigError(f"{flag}: {text!r} is not a comma-separated list of integers")
     return [int(v) for v in out]
 
 
@@ -125,7 +126,7 @@ def _write_report(args, report: dict) -> None:
 def _cmd_test(args) -> int:
     data = read_data_file(args.data)
     family = Family.parse(args.family)
-    gammas = _float_list(args.gamma)
+    gammas = _float_list("--gamma", args.gamma)
     cache = _resolve_cache(args)
     results = gof_test(
         data, family, gammas, args.replicates, args.seed,
@@ -168,12 +169,9 @@ def _cmd_test(args) -> int:
 
 def _cmd_critvals(args) -> int:
     family = Family.parse(args.family)
-    sizes = _int_list(args.n)
-    gammas = _float_list(args.gamma)
-    alphas = _float_list(args.alpha)
-    for a in alphas:
-        if not 0.0 < a < 1.0:
-            raise ConfigError(f"alpha must lie in (0, 1), got {a}")
+    sizes = _int_list("--n", args.n)
+    gammas = _float_list("--gamma", args.gamma)
+    alphas = [_number("alpha", a, 0.0, 1.0) for a in _float_list("--alpha", args.alpha)]
     cache = _resolve_cache(args)
     rows = []
     header = f"{'n':>5s} {'gamma':>8s} " + " ".join(f"cv({a:g})".rjust(12) for a in alphas)

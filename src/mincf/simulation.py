@@ -58,7 +58,7 @@ _MAX_ATTEMPTS = 100
 
 @dataclass(frozen=True)
 class NullDistribution:
-    """Sorted Monte Carlo null statistics for one (family, n, gamma)."""
+    """Monte Carlo null statistics for one (family, n, gamma), ascending, so NaN-free."""
 
     family: Family
     n: int
@@ -70,8 +70,9 @@ class NullDistribution:
 
     def __post_init__(self):
         stats = np.asarray(self.sorted_stats, dtype=float)
-        if stats.ndim != 1 or stats.size != self.replicates:
-            raise ConfigError("sorted_stats must be a 1-D array of replicates values")
+        if stats.ndim != 1 or stats.size != self.replicates or not np.all(stats[:-1] <= stats[1:]):
+            raise ConfigError("sorted_stats must be an ascending 1-D array of replicates values")
+        _count("redraws", self.redraws, 0)
 
 
 @dataclass(frozen=True)
@@ -356,17 +357,11 @@ def _join(p, parts):
     return stats, redraws
 
 
-def _check_replicates(replicates) -> None:
-    if replicates < 100:
-        raise DomainError("need at least 100 replicates")
-
-
 def _null_plan(family, n, gammas, replicates, seed, cache):
     """The nulls the cache holds, by gamma (None on a miss), and the pass that
     simulates the misses, or None if there are none."""
-    if n < 3:
-        raise DomainError("need n >= 3")
-    _check_replicates(replicates)
+    _count("n", n, 3)
+    _count("replicates", replicates, 100)
     _count("seed", seed, 0)
     for g in gammas:
         check_gamma(family, g)
@@ -452,9 +447,9 @@ def build_null(
 
 
 def critical_value(null: NullDistribution, alpha: float) -> float:
-    """Empirical upper-alpha critical value: order statistic ceil((1-a)(N+1))."""
-    if not 0.0 < alpha < 1.0:
-        raise DomainError("alpha must lie in (0, 1)")
+    """Empirical upper-alpha critical value: order statistic ceil((1-a)(N+1)).
+    An alpha outside (0, 1) is a ConfigError."""
+    _number("alpha", alpha, 0.0, 1.0)
     n_rep = null.replicates
     rank = int(np.ceil((1.0 - alpha) * (n_rep + 1)))
     rank = min(max(rank, 1), n_rep)
@@ -481,11 +476,15 @@ def power(
     *,
     workers: int = 1,
 ) -> PowerResult:
-    """Empirical rejection rate against a fixed alternative."""
+    """Empirical rejection rate against a fixed alternative. A null that does not match
+    (family, n, gamma), or a bad gamma, count (n, replicates, seed, workers) or alpha,
+    is a ConfigError, raised before anything is drawn."""
     if (null.family, null.n) != (family, n) or null.gamma != float(gamma):
         raise ConfigError("null distribution does not match (family, n, gamma)")
     check_gamma(family, null.gamma)
-    _check_replicates(replicates)
+    _count("n", n, 3)
+    _count("replicates", replicates, 100)
+    _number("alpha", alpha, 0.0, 1.0)
     _count("seed", seed, 0)
     (outcome,) = _run_passes([(family, n, (null.gamma,), replicates, seed, alt)], workers)
     return _rates(alt, alpha, replicates, (null,), outcome)[0]
@@ -616,9 +615,10 @@ class NullCache:
     def load(self, family, n, gamma, replicates, seed) -> NullDistribution | None:
         """The cached null for these parameters, or None on a miss.
 
-        A file that cannot be read back whole (empty, truncated, corrupt or
-        missing a field), or whose fields do not match the header one by one
-        as scalars, is a miss too; the next save replaces it.
+        A file that cannot be read back whole (empty, truncated, corrupt or missing a
+        field), whose fields do not match the header one by one as scalars, or whose
+        record NullDistribution rejects (unsorted or NaN statistics, a redraws that is
+        not a count) is a miss too; the next save replaces it.
         """
         header = self._header(family, n, gamma, replicates, seed)
         try:
@@ -628,7 +628,7 @@ class NullCache:
                 return NullDistribution(
                     family=family, n=n, gamma=header["gamma"], replicates=replicates,
                     sorted_stats=payload["sorted_stats"].copy(), seed=seed,
-                    redraws=_count("redraws", payload["redraws"].item(), 0),
+                    redraws=payload["redraws"].item(),
                 )
         except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile):
             return None

@@ -21,6 +21,15 @@ GAMMA_RANGE = {"weibull": "[0.001, 30]", "pareto": "[0.001, 1000]", "frechet": "
 
 
 @pytest.fixture
+def no_draw(monkeypatch):
+    """Fail the test if the engine draws a sample."""
+    def draw(*args):
+        raise AssertionError("drew a sample")
+
+    monkeypatch.setattr(simulation, "_draw", draw)
+
+
+@pytest.fixture
 def exp_data(tmp_path):
     rng = np.random.default_rng(2)
     path = tmp_path / "data.txt"
@@ -185,7 +194,7 @@ class TestTestCommand:
         assert main(args) == EXIT_OK
         assert os.listdir(cache_dir) == files
 
-    def test_truncated_cache_is_a_miss_and_rewritten(self, exp_data, tmp_path):
+    def test_truncated_cache_is_a_miss_and_rewritten(self, exp_data, tmp_path, capsys):
         from mincf.families import Family
         from mincf.simulation import NullCache
 
@@ -194,6 +203,7 @@ class TestTestCommand:
                 "--replicates", "300", "--seed", "5", "--workers", "1",
                 "--cache-dir", cache_dir]
         assert main(args) == EXIT_OK
+        intact = capsys.readouterr().out  # the statistic and p-value of the intact record
         (name,) = os.listdir(cache_dir)
         path = os.path.join(cache_dir, name)
         cache = NullCache(cache_dir)
@@ -211,15 +221,30 @@ class TestTestCommand:
             with open(path, "wb") as fh:
                 np.savez(fh, **fields)
 
+        # Read as it stands, a reversed or NaN record prints p = 1.0000 (intact: 0.9502).
         for damage in (truncate, lambda: replace("n", lambda n: np.array([n, n])),
-                       lambda: replace("sorted_stats", lambda s: s.reshape(20, 15))):
+                       lambda: replace("sorted_stats", lambda s: s.reshape(20, 15)),
+                       lambda: replace("sorted_stats", lambda s: s[::-1]),
+                       lambda: replace("sorted_stats", lambda s: np.full_like(s, np.nan))):
             damage()
             assert cache.load(Family.WEIBULL, 40, 1.0, 300, 5) is None
             assert main(args) == EXIT_OK
+            assert capsys.readouterr().out == intact
             assert os.listdir(cache_dir) == [name]
             null = cache.load(Family.WEIBULL, 40, 1.0, 300, 5)
             assert null is not None and null.sorted_stats.size == 300
             assert np.array_equal(null.sorted_stats, written.sorted_stats)
+
+
+@pytest.mark.parametrize("command, flag", [("test", "--gamma"), ("critvals", "--gamma"),
+                                           ("critvals", "--n"), ("critvals", "--alpha")])
+@pytest.mark.parametrize("value, problem", [(",", "empty list"), ("1,x", "cannot parse")])
+def test_bad_list_names_its_option(exp_data, capsys, command, flag, value, problem):
+    args = {"test": ["test", "--data", exp_data], "critvals": ["critvals", "--n", "10"]}[command]
+    code = main(args + ["--family", "weibull", "--replicates", "200", "--workers", "1",
+                        "--no-cache", flag, value])
+    assert code == EXIT_INPUT
+    assert f"error: {flag}: {problem}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--workers", "0"),
@@ -274,17 +299,20 @@ class TestCritvalsCommand:
                      "--replicates", "200", "--workers", "1", "--no-cache"]) == EXIT_OK
 
     @pytest.mark.parametrize("family, gamma", [("weibull", "300"), ("pareto", "2000")])
-    def test_gamma_outside_the_family_range_exits_2_before_any_draw(self, monkeypatch, capsys,
+    def test_gamma_outside_the_family_range_exits_2_before_any_draw(self, no_draw, capsys,
                                                                     family, gamma):
-        def no_draw(*args):
-            raise AssertionError("drew a sample")
-
-        monkeypatch.setattr(simulation, "_draw", no_draw)
         code = main(["critvals", "--family", family, "--n", "10", "--gamma", f"1,{gamma}",
                      "--replicates", "200", "--workers", "1", "--no-cache"])
         assert code == EXIT_INPUT
         assert f"gamma for {family} must be a number in {GAMMA_RANGE[family]}" in (
             capsys.readouterr().err)
+
+    @pytest.mark.parametrize("alpha", ["0.05,1.5", "0", "nan"])
+    def test_alpha_outside_0_1_exits_2_before_any_draw(self, no_draw, capsys, alpha):
+        code = main(["critvals", "--family", "pareto", "--n", "10", "--alpha", alpha,
+                     "--replicates", "200", "--workers", "1", "--no-cache"])
+        assert code == EXIT_INPUT
+        assert "alpha must be a number in (0, 1), got " in capsys.readouterr().err
 
     def test_killed_helper_exits_3_and_is_reaped(self, monkeypatch, capsys):
         caller, real_fit = os.getpid(), simulation.fit_batch

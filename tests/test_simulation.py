@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 from mincf import simulation, stat
-from mincf.errors import ConfigError, DomainError, EngineError
+from mincf.errors import ConfigError, EngineError
 from mincf.estimation import fit_batch
 from mincf.families import (
     STANDARD_PARAMS,
@@ -72,7 +72,7 @@ class TestCriticalValue:
 
     def test_alpha_validation(self):
         null = toy_null([1.0, 2.0, 3.0])
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigError):
             critical_value(null, 0.0)
 
 
@@ -99,6 +99,29 @@ class TestPValue:
         with pytest.raises(ConfigError, match="1-D"):
             NullDistribution(family=Family.WEIBULL, n=20, gamma=1.0, replicates=300,
                              sorted_stats=np.zeros((20, 15)), seed=0)
+
+
+class TestNullDistribution:
+    @pytest.mark.parametrize("stats", [[3.0, 2.0, 1.0], [1.0, np.nan, 3.0], [np.nan] * 3,
+                                       [1.0, 2.0, np.nan]],
+                             ids=["descending", "nan-inside", "all-nan", "nan-last"])
+    def test_stats_that_are_not_ascending_rejected(self, stats):
+        # p_value and critical_value read counts and order statistics off the
+        # array, so an unsorted one answers wrongly without an error.
+        with pytest.raises(ConfigError, match="ascending"):
+            NullDistribution(family=Family.WEIBULL, n=20, gamma=1.0, replicates=3,
+                             sorted_stats=np.array(stats), seed=0)
+
+    @pytest.mark.parametrize("redraws", [-1, 2.0, np.inf, True, "3"])
+    def test_redraws_that_is_not_a_count_rejected(self, redraws):
+        with pytest.raises(ConfigError, match="redraws must be an integer >= 0"):
+            NullDistribution(family=Family.WEIBULL, n=20, gamma=1.0, replicates=3,
+                             sorted_stats=np.arange(3.0), seed=0, redraws=redraws)
+
+    def test_ties_and_infinities_in_order_accepted(self):
+        null = NullDistribution(family=Family.WEIBULL, n=20, gamma=1.0, replicates=4,
+                                sorted_stats=np.array([1.0, 1.0, 2.0, np.inf]), seed=0)
+        assert p_value(null, 1.0) == 1.0
 
 
 class TestBuildNull:
@@ -129,9 +152,9 @@ class TestBuildNull:
             assert abs(stats[0] - stats[1]) <= 1e-6 * max(stats[0], 1e-12)
 
     def test_validation(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigError, match="n must be an integer >= 3"):
             build_null(Family.WEIBULL, 2, 1.0, 500, seed=0)
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigError, match="replicates must be an integer >= 100"):
             build_null(Family.WEIBULL, 10, 1.0, 50, seed=0)
 
     def test_pvalue_uniform_under_null(self):
@@ -143,6 +166,15 @@ class TestBuildNull:
 
 
 GAMMAS = (0.5, 1.0, 5.0)
+
+
+@pytest.fixture
+def no_draw(monkeypatch):
+    """Fail the test if the engine draws a sample."""
+    def draw(*args):
+        raise AssertionError("drew a sample")
+
+    monkeypatch.setattr(simulation, "_draw", draw)
 
 
 @pytest.fixture
@@ -225,6 +257,13 @@ class TestBuildNulls:
         self.fail_twice(monkeypatch, 2)
         for null in build_nulls(Family.WEIBULL, 10, GAMMAS, 300, seed=1):
             assert null.redraws == 4
+
+    @pytest.mark.parametrize(("n", "replicates", "name"),
+                             [(10.0, 300, "n"), (10, 300.0, "replicates")])
+    def test_float_count_rejected_before_any_draw(self, no_draw, n, replicates, name):
+        # Unchecked, a float reaches range() or rng.random() and fails with a bare TypeError.
+        with pytest.raises(ConfigError, match=f"^{name} must be an integer"):
+            build_nulls(Family.WEIBULL, n, GAMMAS, replicates, seed=1)
 
     def test_each_table_is_built_once(self):
         # Every chunk must read the tables _warm built, so each (family, gamma)
@@ -496,15 +535,23 @@ class TestPower:
     def test_too_few_replicates_rejected(self, replicates):
         # The same check, error and message as build_nulls.
         null = build_null(Family.WEIBULL, 10, 1.0, 200, seed=3)
-        with pytest.raises(DomainError, match="at least 100 replicates"):
+        with pytest.raises(ConfigError, match="replicates must be an integer >= 100"):
             power(Family.WEIBULL, parse_alternative("LN(1)"), 10, 1.0, 0.05,
                   replicates, null, seed=4)
 
-    def test_weibull_null_above_30_rejected_before_any_draw(self, monkeypatch):
-        def no_draw(*args):
-            raise AssertionError("drew a sample")
+    @pytest.mark.parametrize(("alpha", "replicates", "match"), [
+        (1.5, 200, r"alpha must be a number in \(0, 1\), got 1.5"),
+        (0.05, 200.0, "replicates must be an integer >= 100, got 200.0"),
+    ], ids=["alpha", "float-replicates"])
+    def test_bad_alpha_or_replicates_rejected_before_any_draw(self, no_draw, alpha,
+                                                              replicates, match):
+        # Unchecked, a bad alpha surfaces only in critical_value, after the whole pass.
+        null = toy_null(np.arange(1.0, 201.0), n=10)
+        with pytest.raises(ConfigError, match=match):
+            power(Family.WEIBULL, parse_alternative("LN(1)"), 10, 1.0, alpha, replicates,
+                  null, seed=4)
 
-        monkeypatch.setattr(simulation, "_draw", no_draw)
+    def test_weibull_null_above_30_rejected_before_any_draw(self, no_draw):
         null = toy_null(np.arange(1.0, 201.0), n=10, gamma=300.0)
         with pytest.raises(ConfigError, match=r"\[0.001, 30\]"):
             power(Family.WEIBULL, parse_alternative("LN(1)"), 10, 300.0, 0.05, 200, null, seed=4)

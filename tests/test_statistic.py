@@ -2,6 +2,7 @@ import dataclasses
 import math
 import tracemalloc
 import warnings
+from itertools import accumulate
 
 import mpmath as mp
 import numpy as np
@@ -352,19 +353,35 @@ class TestClosedFormLambda:
     """
 
     Z = np.geomspace(1e-8, 1e8, 33)
+    _known = {}  # (family, gamma, dps) -> {z: lam(z)}, filled by _oracle
 
-    @staticmethod
-    def _oracle(family, gamma, z, dps=20):
-        with mp.workdps(dps):
-            g, z = mp.mpf(gamma), mp.mpf(z)
-            psi0 = _mp_psi0(family)
-            f = lambda t: min(1, t * z) * psi0(t) * mp.exp(-g * t)
-            return float(mp.quad(f, sorted({mp.mpf(0), 1 / z, mp.mpf(1), mp.inf})))
+    @classmethod
+    def _oracle(cls, family, gamma, zs, dps=20):
+        """lam at each z by mpmath, as z A1(1/z) + T0(1/z), where A1(s) = int_0^s t w,
+        T0(s) = int_s^inf w and w(t) = psi0(t) e^(-gamma t). The points 1/z of the z not
+        yet known at (family, gamma, dps), with t = 1, cut (0, inf) into gaps, one
+        mp.quad each: A1 is their running sum from the bottom and T0 from the top."""
+        known = cls._known.setdefault((family, gamma, dps), {})
+        new = {float(z) for z in zs} - known.keys()
+        if new:
+            with mp.workdps(dps):
+                g, psi0 = mp.mpf(gamma), _mp_psi0(family)
+                w = lambda t: psi0(t) * mp.exp(-g * t)
+                inv = {z: 1 / mp.mpf(z) for z in new}
+                s = sorted({mp.mpf(1), *inv.values()})
+                a1 = list(accumulate(mp.quad(lambda t: t * w(t), [a, b])
+                                     for a, b in zip([mp.mpf(0), *s], s)))
+                t0 = list(accumulate(mp.quad(w, [a, b])
+                                     for a, b in zip(s[::-1], [mp.inf, *s[::-1]])))[::-1]
+                at = {v: k for k, v in enumerate(s)}
+                known.update({z: float(mp.mpf(z) * a1[at[v]] + t0[at[v]])
+                              for z, v in inv.items()})
+        return np.array([known[float(z)] for z in zs])
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     @pytest.mark.parametrize("gamma", [0.02, 0.05, 0.2, 0.5, 1.0, 5.0, 8.0, 30.0, 1000.0, 0.001])
     def test_against_mpmath(self, family, gamma):
-        ref = np.array([self._oracle(family, gamma, v) for v in self.Z])
+        ref = self._oracle(family, gamma, self.Z)
         got = lambda_table(family, gamma)(self.Z)
         scale = max(1.0, lambda_table(family, gamma).lam_inf)
         assert np.max(np.abs(got - ref)) <= 5e-10 * scale
@@ -374,7 +391,7 @@ class TestClosedFormLambda:
         # c1 = int_0^1 t^2 (1 - log t) e^(-g t) dt, whose closed form lost
         # 4.4e-10 * max(1, lam_inf) here at g = 0.001.
         z = self.Z[self.Z <= 1.0]
-        ref = np.array([self._oracle(Family.PARETO, gamma, v) for v in z])
+        ref = self._oracle(Family.PARETO, gamma, z)
         table = lambda_table(Family.PARETO, gamma)
         assert np.max(np.abs(table(z) - ref)) <= 1e-12 * max(1.0, table.lam_inf)
 
@@ -383,7 +400,7 @@ class TestClosedFormLambda:
         # lam = lam_inf - C(z) with C bounded; closed forms that rebuilt parts
         # of lam_inf inside lam lost 4.8e-13 * max(1, lam_inf) here at g = 0.001.
         z = np.concatenate([[1.0], self.Z[self.Z > 1.0]])
-        ref = np.array([self._oracle(Family.PARETO, gamma, v) for v in z])
+        ref = self._oracle(Family.PARETO, gamma, z)
         table = lambda_table(Family.PARETO, gamma)
         assert np.max(np.abs(table(z) - ref)) <= 1e-14 * max(1.0, table.lam_inf)
 
@@ -392,7 +409,7 @@ class TestClosedFormLambda:
         # Panels fitted to lam_inf - C(z); a closed form through E1 and incomplete
         # gammas lost 2.2e-12 * max(1, lam_inf) here at g = 0.001, z = 0.249.
         z = np.concatenate([self.Z, np.geomspace(0.02, 0.249, 6)])
-        ref = np.array([self._oracle(Family.FRECHET, gamma, v, dps=30) for v in z])
+        ref = self._oracle(Family.FRECHET, gamma, z, dps=30)
         table = lambda_table(Family.FRECHET, gamma)
         assert np.max(np.abs(table(z) - ref)) <= 1e-14 * max(1.0, table.lam_inf)
 
@@ -400,7 +417,7 @@ class TestClosedFormLambda:
     def test_weibull_relative_to_lam_inf(self, gamma):
         # lam_inf < 1 here, so a panel tolerance of 1e-11 * max(1, lam_inf) was
         # absolute: it allowed 1.7e-11 (g = 5) and 2.0e-9 (g = 30) of lam_inf.
-        ref = np.array([self._oracle(Family.WEIBULL, gamma, v, dps=30) for v in self.Z])
+        ref = self._oracle(Family.WEIBULL, gamma, self.Z, dps=30)
         got = lambda_table(Family.WEIBULL, gamma)(self.Z)
         assert np.max(np.abs(got - ref)) <= 1e-13 * lambda_table(Family.WEIBULL, gamma).lam_inf
 
@@ -410,7 +427,7 @@ class TestClosedFormLambda:
         # Panels that stopped when 7 test points were within 1e-13 * lam_inf read
         # 4.1e-14 * lam_inf off here at gamma = 1000 and 7.2e-15 at gamma = 1.
         z = np.linspace(lo, hi, 6)
-        ref = np.array([self._oracle(family, gamma, v, dps=30) for v in z])
+        ref = self._oracle(family, gamma, z, dps=30)
         got = lambda_table(family, gamma)(z)
         assert np.max(np.abs(got - ref)) <= 2e-15 * lambda_table(family, gamma).lam_inf
 
@@ -433,7 +450,7 @@ class TestClosedFormLambda:
         below = table.z_hi * (1.0 - np.geomspace(1e-15, 1e-3, 20))
         assert np.all(table(below) <= table.lam_inf)
         z = np.geomspace(40.0, 1e12, 7)
-        ref = np.array([self._oracle(family, gamma, v, dps=30) for v in z])
+        ref = self._oracle(family, gamma, z, dps=30)
         assert np.max(np.abs(table(z) - ref)) <= 5e-15 * table.lam_inf
 
     @pytest.mark.parametrize("z", [1e-8, 1e-3])
@@ -441,7 +458,7 @@ class TestClosedFormLambda:
         # The mass of the complement integrand sits near t ~ 1/gamma = 1e-3, deep
         # inside [0, 1/z]; a quadrature that never samples there returns lam_inf.
         lam_inf = lambda_table(Family.WEIBULL, 1000.0).lam_inf
-        ref = self._oracle(Family.WEIBULL, 1000.0, z)
+        ref = self._oracle(Family.WEIBULL, 1000.0, [z])[0]
         assert abs(small_lambda(Family.WEIBULL, 1000.0, z) - ref) <= 1e-12 * lam_inf
 
 
