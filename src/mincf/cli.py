@@ -30,6 +30,8 @@ from .simulation import (
     STATISTIC_CODE_VERSION,
     NullCache,
     StudyConfig,
+    _count,
+    _null_plan,
     _number,
     build_null,  # unused here; perfbench traces cli.build_null
     build_nulls,
@@ -172,6 +174,9 @@ def _cmd_critvals(args) -> int:
     sizes = _int_list("--n", args.n)
     gammas = _float_list("--gamma", args.gamma)
     alphas = [_number("alpha", a, 0.0, 1.0) for a in _float_list("--alpha", args.alpha)]
+    _count("workers", args.workers, 1)
+    for n in sizes:  # the engine's own checks of every null, before the header is printed
+        _null_plan(family, n, gammas, args.replicates, args.seed, None)
     cache = _resolve_cache(args)
     rows = []
     header = f"{'n':>5s} {'gamma':>8s} " + " ".join(f"cv({a:g})".rjust(12) for a in alphas)

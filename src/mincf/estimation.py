@@ -206,10 +206,21 @@ def mle(family: Family, sample) -> Estimate:
     )
 
 
+def _standardize_rows(x, c, phi):
+    """Y = (x / c)^phi of the data and every replicate, clipped to [1e-150, 1e150], where T is at
+    its limits: lam = lam_inf, g / Y < inf, the kernel term ~1e-150 (NaN once sum Y overflows)."""
+    with np.errstate(over="ignore", divide="ignore"):
+        y = (x / c) ** phi
+        far = (y < 1e-150) | (y > 1e150)
+        if far.any():  # from logs, as x / c leaves double range on data over 308 decades wide
+            y[far] = np.exp(phi * (np.log(x) - np.log(c)))[far]
+    return np.clip(y, 1e-150, 1e150, out=y)
+
+
 def standardize(sample, estimate: Estimate) -> np.ndarray:
-    """The 1-D array Y_j = (X_j / c)^phi of the observations, in their order.
+    """Y_j = (X_j / c)^phi of the observations in their order, clipped to [1e-150, 1e150].
 
     For the Pareto fit c equals the sample minimum, so min(Y) is exactly 1.
     """
     x = np.asarray(sample, dtype=float).ravel()
-    return (x / estimate.params.c) ** estimate.params.phi
+    return _standardize_rows(x, estimate.params.c, estimate.params.phi)

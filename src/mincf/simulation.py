@@ -28,7 +28,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConfigError, DomainError, EngineError
-from .estimation import fit_batch, mle, standardize
+from .estimation import _standardize_rows, fit_batch, mle, standardize
 from .families import (
     AlternativeSpec,
     Family,
@@ -238,7 +238,7 @@ def _score_block(family, gammas, x, block, stats):
     c, phi, ok, _ = fit_batch(family, x[block])
     good = block[ok]
     if good.size:
-        y = (x[good] / c[ok, None]) ** phi[ok, None]
+        y = _standardize_rows(x[good], c[ok, None], phi[ok, None])
         for k, gamma in enumerate(gammas):
             stats[k, good] = batch_statistics(family, gamma, y)
     return ok

@@ -132,10 +132,10 @@ def _kernel_sum(g: float, y: np.ndarray) -> np.ndarray:
     sum_j F(y_j)(2 S_j + y_j) + G(y_j)(2(n-1-j) + 1). The pairwise form,
     ``kernel_lambda`` in ``tests/oracles.py``, is the test oracle.
 
-    The split cancels where both values of a pair are << g (K ~ 2ls/g^3, each
-    part ~ s/g^2). MLE-standardized rows have max(Y) >= 1 (Weibull: mean Y = 1;
-    Pareto: min Y = 1; Frechet: mean 1/Y = 1) and match the pair grid to ~1e-14
-    relative; a raw row of values near 1e-6 loses 1e-11 (g = 0.2) to 1e-9 (g = 30).
+    The split cancels where both values of a pair are << g (K ~ 2ls/g^3, each part
+    ~ s/g^2). MLE-standardized rows lie in [1e-150, 1e150] with max(Y) >= 1 (Weibull:
+    mean Y = 1; Pareto: min Y = 1; Frechet: mean 1/Y = 1) and match the pair grid to
+    ~1e-14 relative; a raw row of values near 1e-6 loses 1e-11 (g = 0.2) to 1e-9 (g = 30).
     """
     y = np.sort(y, axis=-1)
     u = g / y
@@ -328,8 +328,8 @@ def statistic(family: Family, y, gamma: float) -> StatisticBreakdown:
 
 
 def batch_statistics(family: Family, gamma: float, y: np.ndarray) -> np.ndarray:
-    """Statistic values for every row of a (B, n) matrix of positive, finite,
-    MLE-standardized values. The engine's hot path checks nothing but gamma, which
+    """Statistic values for every row of a (B, n) matrix of MLE-standardized values,
+    which lie in [1e-150, 1e150]. The engine's hot path checks nothing but gamma, which
     the table build checks on a cache miss: a negative value gives a meaningless
     number, and a NaN raises IndexError. :func:`statistic` is the checked entry point."""
     double_sum, n_times_l, lambda_sum = _terms(family, gamma, np.asarray(y, float))

@@ -35,6 +35,15 @@ def run_python(script: str) -> str:
     return out.strip().splitlines()[-1]
 
 
+def out_of_range_sample(family: Family) -> np.ndarray:
+    """Tied data whose fitted phi (720 or 760) takes one (x / c)^phi out of double
+    range: 719 ones and one e overflow it for Pareto and Frechet, and 759 ones and
+    one 1/e underflow it to 0 for Weibull. Ties keep ``statistic_direct`` fast."""
+    if family is Family.WEIBULL:
+        return np.r_[np.ones(759), 1.0 / np.e]
+    return np.r_[np.ones(719), np.e]
+
+
 def midpoint_oracle(f, a, b, points=10_000_000, chunks=20):
     """Brute-force midpoint Riemann sum with a vectorized integrand."""
     edges = np.linspace(a, b, chunks + 1)

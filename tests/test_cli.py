@@ -14,7 +14,7 @@ from mincf import cli, simulation
 from mincf.cli import EXIT_INPUT, EXIT_INTERRUPTED, EXIT_NUMERIC, EXIT_OK, main, read_data_file
 from mincf.errors import ConfigError
 
-from helpers import checkout_env, run_python
+from helpers import checkout_env, out_of_range_sample, run_python
 
 #: The gamma range each family's statistic is checked in, as error messages print it.
 GAMMA_RANGE = {"weibull": "[0.001, 30]", "pareto": "[0.001, 1000]", "frechet": "[0.001, 1000]"}
@@ -129,6 +129,19 @@ class TestTestCommand:
             ]) == EXIT_OK
             outs.append(json.loads(out.read_text()))
         assert outs[0]["results"] == outs[1]["results"]
+
+    @pytest.mark.parametrize("family", ["weibull", "pareto", "frechet"])
+    def test_out_of_range_standardized_value_runs(self, tmp_path, capsys, family):
+        # One (x / c)^phi overflows (Pareto, Frechet) or underflows to 0 (Weibull).
+        data, out = tmp_path / "tied.txt", tmp_path / "report.json"
+        np.savetxt(data, out_of_range_sample(mincf.Family.parse(family)))
+        assert main(["test", "--family", family, "--data", str(data), "--replicates", "100",
+                     "--workers", "1", "--no-cache", "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        results = json.loads(out.read_text())["results"]
+        assert [row["gamma"] for row in results] == [0.5, 1.0, 5.0]
+        for row in results:
+            assert np.isfinite(row["statistic"]) and 0.0 < row["p_value"] <= 1.0
 
     def test_negative_data_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"
@@ -313,6 +326,14 @@ class TestCritvalsCommand:
                      "--replicates", "200", "--workers", "1", "--no-cache"])
         assert code == EXIT_INPUT
         assert "alpha must be a number in (0, 1), got " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--gamma", "50"),
+                                             ("--replicates", "50"), ("--workers", "0"),
+                                             ("--n", "20,2")])
+    def test_bad_input_exits_2_with_nothing_printed(self, no_draw, capsys, flag, value):
+        code = main(["critvals", "--family", "weibull", "--n", "10", "--no-cache", flag, value])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().out == ""
 
     def test_killed_helper_exits_3_and_is_reaped(self, monkeypatch, capsys):
         caller, real_fit = os.getpid(), simulation.fit_batch

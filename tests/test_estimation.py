@@ -247,6 +247,15 @@ class TestStandardize:
         y2 = standardize(y1, mle(family, y1))
         assert np.max(np.abs(y2 - y1) / y1) < 1e-8
 
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_data_wider_than_double_range(self, family):
+        # On data spanning 600 decades x / c overflows or underflows to 0 while
+        # (x / c)^phi, at a phi near 0.002, lies between 0.1 and 14.
+        x = np.array([1e-300, 1e-200, 1.0, 2.0, 3.0, 1e300])
+        est = mle(family, x)
+        logs = est.params.phi * (np.log(x) - np.log(est.params.c))
+        assert np.allclose(standardize(x, est), np.exp(logs), rtol=1e-14, atol=0.0)
+
 
 class TestEquivariance:
     @pytest.mark.parametrize("family", ALL_FAMILIES)

@@ -10,7 +10,7 @@ from scipy import stats as sps
 
 from mincf import simulation, stat
 from mincf.errors import ConfigError, EngineError
-from mincf.estimation import fit_batch
+from mincf.estimation import fit_batch, mle, standardize
 from mincf.families import (
     STANDARD_PARAMS,
     AlternativeSpec,
@@ -34,8 +34,9 @@ from mincf.simulation import (
     run_study,
     gof_test,
 )
-from mincf.stat import batch_statistics
+from mincf.stat import batch_statistics, statistic
 
+from helpers import out_of_range_sample
 from oracles import IntegrationError
 
 
@@ -424,6 +425,39 @@ class TestChunkStreams:
                 for other in runs[1:]:
                     assert np.array_equal(other[0], stats)
                     assert other[1:] == (redraws, failed)
+
+
+class TestOutOfRangeRows:
+    """Rows with a fitted phi near 720 whose (x / c)^phi leaves double range: the
+    engine scores them as :func:`statistic` scores the same data."""
+
+    @staticmethod
+    def draw_only(monkeypatch, x):
+        monkeypatch.setattr(simulation, "_draw",
+                            lambda family, alt, shape, rng: np.tile(x, (shape[0], 1)))
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_chunk_scores_them_as_statistic_does(self, monkeypatch, family):
+        # 30 rows of n = 720 or 760 are two blocks.
+        x = out_of_range_sample(family)
+        self.draw_only(monkeypatch, x)
+        y = standardize(x, mle(family, x))
+        want = np.array([[statistic(family, y, g).value] for g in GAMMAS])
+        for alt in (None, parse_alternative("LN(1)")):
+            stats, redraws, failed = simulation._simulate_chunk(
+                family, x.size, GAMMAS, 3, 0, 30, alt)
+            assert (redraws, failed) == (0, 0)
+            assert np.isfinite(stats).all()
+            assert np.array_equal(stats, np.repeat(want, 30, axis=1))
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_power_counts_them_as_rejections(self, monkeypatch, family):
+        # Their T at gamma = 1 is 14 to 35, far above this null's values.
+        x = out_of_range_sample(family)
+        self.draw_only(monkeypatch, x)
+        null = toy_null(np.linspace(0.0, 1.0, 200), family=family, n=x.size)
+        res = power(family, parse_alternative("LN(1)"), x.size, 1.0, 0.05, 100, null, seed=4)
+        assert res.rejections == 100
 
 
 class TestChunkMemory:

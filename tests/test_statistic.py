@@ -27,7 +27,9 @@ from mincf.stat import (
     statistic,
 )
 
-from helpers import kernel_oracle, l_constant_oracle, lambda_oracle, run_python
+from helpers import (
+    kernel_oracle, l_constant_oracle, lambda_oracle, out_of_range_sample, run_python,
+)
 from oracles import (
     empirical_min_cf,
     integrate,
@@ -592,12 +594,27 @@ class TestStatistic:
         stats = batch_statistics(Family.WEIBULL, 100.0, (x / c[:, None]) ** phi[:, None])
         assert np.all(stats > 0)
 
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_out_of_range_standardized_value_gets_the_limit(self, family):
+        # One (x / c)^phi overflows (Pareto, Frechet) or underflows to 0 (Weibull);
+        # clipped to [1e-150, 1e150], it gives T at its limit, which the defining
+        # integral reaches on the values clipped to [1e-12, 1e12].
+        x = out_of_range_sample(family)
+        y = standardize(x, mle(family, x))
+        for g in GAMMAS:
+            value = statistic(family, y, g).value
+            assert np.isfinite(value)
+            direct = statistic_direct(family, np.clip(y, 1e-12, 1e12), g)
+            assert abs(value - direct) <= 1e-12 * direct
+
     def test_rejects_non_finite_values(self):
-        # This Pareto fit overflows to Y = inf; it must fail on the input
-        # check, before the kernel or lam warn about it.
+        # This Pareto fit's unclipped (x / c)^phi overflows to Y = inf, as values
+        # from outside the program may; it must fail on the input check, before
+        # the kernel or lam warn about it.
         x = np.array([1e-300, 1e-200, 1.0, 2.0, 3.0, 1e300])
+        est = mle(Family.PARETO, x)
         with np.errstate(over="ignore"):
-            y = standardize(x, mle(Family.PARETO, x))
+            y = (x / est.params.c) ** est.params.phi
         assert np.isinf(y).any()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
