@@ -132,17 +132,16 @@ def solve_weibull_shape(logs: np.ndarray):
 
 
 def fit_batch(family: Family, x: np.ndarray):
-    """Fit every row of a (B, n) sample matrix.
+    """Fit every row of a (B, n) sample matrix; it checks nothing, since its callers check n.
 
-    Returns (c, phi, converged, iterations) arrays. Invalid rows carry
-    converged=False and should be discarded or redrawn by the caller.
+    Returns (c, phi, converged, iterations) arrays. A row that does not fit, and any row
+    holding a value outside (0, inf), has converged=False; the caller drops or redraws it.
     """
     x = np.asarray(x, dtype=float)
     b, n = x.shape
-    if n < 3:
-        raise DegenerateSampleError("need at least 3 observations to fit two parameters")
-    if not np.all(x > 0):
-        raise DomainError("sample values must be positive")
+    inside = (x > 0) & (x < np.inf)  # False at NaN
+    if not inside.all():  # such a row becomes a row of ones, which no family fits
+        x = np.where(inside.all(axis=1)[:, None], x, 1.0)
     logs = np.log(x)
 
     if family is Family.PARETO:

@@ -195,9 +195,10 @@ class StudyResult:
 
 def _draw(family, alt, shape, rng: np.random.Generator) -> np.ndarray:
     """Samples from the standard member of ``family``, or from ``alt`` if set."""
-    if alt is None:
-        return sample_null(family, STANDARD_PARAMS, shape, rng)
-    return sample_alternative(alt, shape, rng)
+    with np.errstate(over="ignore"):  # a value past double range is inf: a failed fit, redrawn
+        if alt is None:
+            return sample_null(family, STANDARD_PARAMS, shape, rng)
+        return sample_alternative(alt, shape, rng)
 
 
 def _simulate_chunk(family, n, gammas, seed, i0, i1, alt):

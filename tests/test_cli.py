@@ -437,6 +437,28 @@ class TestPowerStudyCommand:
         assert csvs[0] == csvs[1]
         assert len(csvs[0].splitlines()) == 1 + 2 * 2 * 2
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_laws_past_double_range_end_as_warnings(self, tmp_path, workers):
+        # P(0.001,1) draws overflow to inf and G(0.01,1) draws underflow to 0.
+        # Run in a fresh interpreter, so a helper's numpy warning would reach stderr.
+        cfg_path = tmp_path / "study.json"
+        cfg_path.write_text(json.dumps({
+            "families": ["pareto", "weibull"], "alternatives": ["P(0.001,1)", "G(0.01,1)", "LN(1)"],
+            "gammas": [1], "sample_sizes": [20], "replicates": 200, "crit_replicates": 200,
+            "seed": 3,
+        }))
+        csv_path = tmp_path / "out.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "mincf", "power-study", "--config", str(cfg_path),
+             "--out-csv", str(csv_path), "--workers", workers, "--no-cache"],
+            env=checkout_env(), capture_output=True, text=True,
+        )
+        assert proc.returncode == EXIT_OK
+        assert csv_path.read_text().splitlines()[1:] == [
+            'pareto,"G(0.01,1)",20,1,97.50', "pareto,LN(1),20,1,77.00", "weibull,LN(1),20,1,26.50"]
+        err = proc.stderr.splitlines()
+        assert len(err) == 3 and all(line.startswith("warning: power ") for line in err)
+
     def test_seed_option_is_a_usage_error(self, tmp_path, capsys):
         # The study seed is the config's "seed"; a --seed flag would be ignored.
         cfg_path = tmp_path / "study.json"
@@ -762,3 +784,31 @@ def test_power_study_command_loads_no_scipy(tmp_path):
     csvs = [(tmp_path / f"w{workers}.csv").read_bytes() for workers in (1, 2)]
     assert csvs[0] == csvs[1]
     assert len(csvs[0].splitlines()) == 1 + 4
+
+
+#: One record of each kind: a null, an alternative pass and the three commands.
+SMALL_GRID = {
+    "families": ["pareto"], "gammas": [1.0], "workers": [1],
+    "nulls": {"sizes": [10], "replicates": 100, "seed": 7},
+    "passes": {"sizes": [10], "replicates": 100, "seed": 11, "laws": ["LN(1)"]},
+    "cli": {"replicates": 100, "sizes": "10",
+            "study": {"alternatives": ["LN(1)"], "gammas": [1], "sample_sizes": [10],
+                      "replicates": 100, "crit_replicates": 100, "seed": 3}},
+}
+
+
+def test_compare_trees_finds_the_checkout_equal_to_itself(capsys):
+    import runpy
+
+    root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(mincf.__file__))))
+    script = runpy.run_path(os.path.join(root, "scripts", "compare_trees.py"))
+    assert script["compare"](root, root, SMALL_GRID) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "16 records, 0 differ"
+    assert all(line.startswith("= ") for line in lines[:-1])
+    assert [line.split("  ")[0] for line in lines[:2]] == [
+        "= null pareto n=10 gamma=1 workers=1", "= pass pareto n=10 LN(1) workers=1"]
+    assert "= cli power-study workers=1 study.csv" in {line.split("  ")[0] for line in lines}
+    # A record that differs, or that one side lacks, is marked.
+    assert script["report"]({"a": "1", "b": "2"}, {"a": "1", "b": "3", "c": "4"}) == (
+        ["= a  1", "! b  parent: 2  change: 3", "! c  parent: (missing)  change: 4"], 2)

@@ -301,6 +301,32 @@ class TestBatch:
         _, _, ok_p, _ = fit_batch(Family.PARETO, rows)
         assert ok_p.tolist() == [True, False]
 
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_rows_outside_0_inf_fail_alone(self, family):
+        # A row holding 0, -1, inf or NaN is a failed fit, not an error; the
+        # rows beside it fit as they do without it, bit for bit.
+        rng = np.random.default_rng(32)
+        good = np.stack([sample_null(family, ParamPair(1, 1), 25, rng) for _ in range(4)])
+        bad = good[::-1].copy()
+        bad[[0, 1, 2, 3], [5, 0, 24, 11]] = [0.0, -1.0, np.inf, np.nan]
+        rows = np.empty((8, 25))
+        rows[0::2], rows[1::2] = good, bad
+        given = rows.copy()
+        c, phi, ok, iterations = fit_batch(family, rows)
+        assert ok.tolist() == [True, False] * 4
+        c_alone, phi_alone, ok_alone, iterations_alone = fit_batch(family, good)
+        assert ok_alone.all()
+        assert np.array_equal(c[0::2], c_alone) and np.array_equal(phi[0::2], phi_alone)
+        assert np.array_equal(iterations[0::2], iterations_alone)
+        assert np.array_equal(rows, given, equal_nan=True)  # the caller's rows stay as given
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_checks_nothing_but_the_family(self, family):
+        # n >= 3 is checked where samples enter (mle, the engine's counts): a
+        # one-value row is a failed fit, and no rows is an empty result.
+        assert fit_batch(family, np.array([[5.0]]))[2].tolist() == [False]
+        assert all(out.size == 0 for out in fit_batch(family, np.empty((0, 4))))
+
     def test_loglik_reported(self):
         rng = np.random.default_rng(31)
         x = sample_null(Family.FRECHET, ParamPair(1, 1), 30, rng)

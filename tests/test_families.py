@@ -189,6 +189,30 @@ class TestSampling:
         assert x is not u and x.shape == u.shape
 
 
+#: Every law numpy draws value by value, G and LN by rejection included. HN is
+#: the exception: Box-Muller pairs the i-th value of one uniform array with the
+#: i-th of a second, both as long as the whole call.
+ROW_BLOCK_LAWS = ["W(1.5,2)", "P(2,1)", "F(2,1)", "G(0.8,1)", "G(2,1)", "LN(1)", "LN(0.5,1.2)",
+                  "LFR(0.5)", "CH(0.8)+1"]
+
+
+@pytest.mark.parametrize("law", [*ALL_FAMILIES, *ROW_BLOCK_LAWS, "HN(1)"], ids=str)
+def test_row_blocks_draw_the_rows_of_one_call(law):
+    # One (100, 7) draw against the same generator's (41, 7), (41, 7) and (18, 7)
+    # draws stacked; either way the generator ends in the same state.
+    if isinstance(law, Family):
+        def draw(shape, rng):
+            return sample_null(law, STANDARD_PARAMS, shape, rng)
+    else:
+        def draw(shape, rng, spec=parse_alternative(law)):
+            return sample_alternative(spec, shape, rng)
+    one_rng, block_rng = np.random.default_rng(21), np.random.default_rng(21)
+    one = draw((100, 7), one_rng)
+    blocks = np.concatenate([draw((rows, 7), block_rng) for rows in (41, 41, 18)])
+    assert np.array_equal(one, blocks) == (law != "HN(1)")
+    assert one_rng.bit_generator.state == block_rng.bit_generator.state
+
+
 class TestAlternatives:
     def test_lfr_closed_form_inversion(self):
         theta = 0.5

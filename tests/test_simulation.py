@@ -411,6 +411,29 @@ class TestChunkStreams:
             assert np.array_equal(null.sorted_stats, np.sort(row))
 
     @pytest.mark.parametrize("family", list(Family))
+    def test_rows_holding_0_or_inf_are_redrawn(self, monkeypatch, family):
+        # The chunk's first draw holds a 0 in row 4 and an inf in row 17: both
+        # rows fail their fit and are redrawn from the chunk's stream.
+        real_draw, draws = simulation._draw, []
+
+        def draw(*args):
+            x = real_draw(*args)
+            if not draws:
+                x[4, 3], x[17, 0] = 0.0, np.inf
+            draws.append(x.shape)
+            return x
+
+        monkeypatch.setattr(simulation, "_draw", draw)
+        stats, redraws, failed = simulation._simulate_chunk(family, 20, GAMMAS, 13, 0, 30, None)
+        assert (redraws, failed) == (2, 2)
+        assert draws == [(30, 20), (2, 20)]
+
+        def null_draw(shape, rng):
+            return sample_null(family, STANDARD_PARAMS, shape, rng)
+
+        assert np.array_equal(stats, self.by_hand(family, 20, 13, 0, 30, null_draw, reject=[4, 17]))
+
+    @pytest.mark.parametrize("family", list(Family))
     def test_blocks_leave_the_chunk_unchanged(self, monkeypatch, family):
         # One row per block, uneven blocks of 7 rows, and the whole chunk as
         # one block, for a full and a last chunk at n = 200.
@@ -589,6 +612,18 @@ class TestPower:
         null = toy_null(np.arange(1.0, 201.0), n=10, gamma=300.0)
         with pytest.raises(ConfigError, match=r"\[0.001, 30\]"):
             power(Family.WEIBULL, parse_alternative("LN(1)"), 10, 300.0, 0.05, 200, null, seed=4)
+
+    @pytest.mark.parametrize(("family", "alt", "match"), [
+        (Family.PARETO, "P(0.001,1)", "kept failing the MLE after 100 redraws"),
+        (Family.WEIBULL, "G(0.01,1)", "MLE failed on 3 of 200 replicates"),
+    ], ids=["pareto-P", "weibull-G"])
+    def test_draws_past_double_range_are_failed_fits(self, family, alt, match):
+        # P(0.001,1) overflows to inf in nearly every row, and G(0.01,1) underflows
+        # to 0 in about 1% of them: failed fits, which end the pass as an engine
+        # failure, not as a 100% rate or an input error.
+        null = build_null(family, 20, 1.0, 200, seed=1)
+        with pytest.raises(EngineError, match=match):
+            power(family, parse_alternative(alt), 20, 1.0, 0.05, 200, null, seed=3)
 
     def test_engine_error_on_unfittable_alternative(self):
         # A law this degenerate drives the fitted shape out of range on
