@@ -18,13 +18,18 @@ fresh interpreter whose PYTHONPATH is that checkout's ``src`` alone, at
 - CLI output: the exit code and the sha256 of stdout, stderr and each file
   written by ``mincf test``, ``critvals`` and ``power-study`` (``--no-cache``),
   with the run's temporary directory and the checkout's path replaced by
-  ``<tmp>`` and ``<tree>``, and ``elapsed_seconds`` taken out.
+  ``<tmp>`` and ``<tree>``, and ``elapsed_seconds`` taken out;
+- acceptance line: each ``size`` and ``power`` line that the checkout's
+  ``tests/test_acceptance.py`` prints for the tests ``GRID["criteria"]``
+  selects (``pytest -k``), run once: its key is the text before the colon,
+  its value the percentages after it.
 
 It prints one line per record: ``=`` and the value if both checkouts agree,
 ``!`` and both values if not. It exits 0 if every record agrees, 1 if any
-differs and 2 if a checkout's run fails. Both checkouts take about 25 s on two
-CPUs. This script imports the standard library alone; the record code imports
-numpy and the checkout's mincf in the child.
+differs and 2 if a checkout's run fails; the acceptance run's known failing
+test is not a run failure. Both checkouts take about 55 s on two CPUs. This
+script imports the standard library alone; the record code imports numpy and
+the checkout's mincf in the child.
 """
 import hashlib
 import json
@@ -49,7 +54,10 @@ GRID = {
             "study": {"alternatives": ["LN(1)", "G(2,1)", "HN(1)", "W(1.5,1)+1"],
                       "gammas": [0.5, 1, 5], "sample_sizes": [20], "replicates": 300,
                       "crit_replicates": 1100, "seed": 3}},
+    "criteria": "criterion_3 or criterion_4",
 }
+#: A criterion line as ``-s`` prints it, after the progress mark of the test before.
+_CRITERION_LINE = re.compile(r"^[.FEsx]?  ((?:size|power) [^:\n]*): *(.*)$", re.M)
 
 
 def _sha(data) -> str:
@@ -122,6 +130,24 @@ def cli_records(grid, workers):
                     yield f"{key} {out}", _sha(_scrub(fh.read(), paths))
 
 
+def criterion_records(grid):
+    """Run the checkout's acceptance tests that ``grid["criteria"]`` selects; record
+    each criterion line they print."""
+    src = os.path.realpath(os.environ["PYTHONPATH"])
+    proc = subprocess.run([sys.executable, "-m", "pytest", "tests/test_acceptance.py", "-s",
+                           "-q", "-p", "no:cacheprovider", "-k", grid["criteria"]],
+                          cwd=os.path.dirname(src), capture_output=True, text=True)
+    if proc.returncode not in (0, 1):  # 1: a test failed, as the known red one does
+        raise SystemExit(f"acceptance run exited {proc.returncode}:\n{proc.stdout}{proc.stderr}")
+    return parse_criterion_lines(proc.stdout)
+
+
+def parse_criterion_lines(text: str) -> list:
+    """``(key, percentages)`` for each ``size`` and ``power`` line of an acceptance run,
+    the key's runs of spaces made one."""
+    return [(" ".join(key.split()), value) for key, value in _CRITERION_LINE.findall(text)]
+
+
 def _scrub(data: bytes, paths: dict) -> bytes:
     """``data`` without its elapsed_seconds line, and with each path replaced by its tag."""
     data = re.sub(rb'\n *"elapsed_seconds": [^\n]*', b"", data)
@@ -147,6 +173,9 @@ def child(grid):
         for records in (null_records, pass_records, cli_records):
             for record in records(grid, workers):
                 print(json.dumps(record), flush=True)
+    if "criteria" in grid:
+        for record in criterion_records(grid):
+            print(json.dumps(record), flush=True)
 
 
 def tree_records(tree, grid) -> dict:

@@ -207,8 +207,8 @@ def sample_alternative(spec: AlternativeSpec, size, rng: np.random.Generator) ->
 
     Laws with a closed-form inverse use one uniform per variate, the W, P
     and F laws through :func:`null_quantile`'s transform, in place; the
-    gamma and the lognormal (exp of mu + sigma Z) use the generator's gamma
-    and normal routines, and the halfnormal uses Box-Muller.
+    gamma, the lognormal (exp of mu + sigma Z) and the halfnormal (theta |Z|)
+    use the generator's gamma and normal routines.
     """
     _check_size(size)
     name = spec.name
@@ -217,16 +217,12 @@ def sample_alternative(spec: AlternativeSpec, size, rng: np.random.Generator) ->
         shape, scale = spec.params
         x = _quantile_in_place(_NULL_LAWS[name], ParamPair(c=scale, phi=shape), rng.random(size))
     elif name == "G":
-        shape, scale = spec.params
-        x = rng.standard_gamma(shape, size) * scale
+        x = rng.gamma(*spec.params, size)
     elif name == "LN":
         mu, sigma = spec.mu_sigma
         x = np.exp(mu + sigma * rng.standard_normal(size))
     elif name == "HN":
-        theta = spec.params[0]
-        u1, u2 = rng.random(size), rng.random(size)
-        z = np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * np.pi * u2)
-        x = theta * np.abs(z)
+        x = spec.params[0] * np.abs(rng.standard_normal(size))
     elif name == "LFR":
         theta = spec.params[0]
         e = -np.log1p(-rng.random(size))

@@ -149,6 +149,10 @@ class StudyConfig:
         if self.crit_replicates is not None:
             _count("crit_replicates", self.crit_replicates, 100)
         _count("seed", self.seed, 0)
+        listed = self.to_dict()  # each study cell once: no entry of a field twice
+        for name in ("families", "alternatives", "gammas", "sample_sizes"):
+            if len(set(listed[name])) < len(listed[name]):
+                raise ConfigError(f"{name} lists an entry twice: {listed[name]}")
 
     @property
     def effective_crit_replicates(self) -> int:

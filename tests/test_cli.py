@@ -512,6 +512,20 @@ class TestPowerStudyCommand:
         assert code == EXIT_INPUT
         assert not (tmp_path / "out.csv").exists()
 
+    def test_repeated_entries_exit_2_writing_nothing(self, tmp_path, capsys):
+        # Each repeat would be a study cell of its own, written again under
+        # another derived seed.
+        cfg_path = tmp_path / "study.json"
+        cfg_path.write_text(json.dumps({
+            "families": ["weibull"], "alternatives": ["LN(1)", "LN(1)"], "gammas": [1, 1],
+            "sample_sizes": [20, 20], "replicates": 200, "crit_replicates": 200, "seed": 3,
+        }))
+        code = main(["power-study", "--config", str(cfg_path), "--no-cache",
+                     "--out-csv", str(tmp_path / "out.csv")])
+        assert code == EXIT_INPUT
+        assert "alternatives lists an entry twice" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["study.json"]
+
     def test_non_utf8_config_exits_2_naming_it(self, tmp_path, capsys):
         cfg_path = tmp_path / "study.json"
         cfg_path.write_bytes(b'{"families": ["weibull\xff"], "alternatives": ["LN(1)"]}')
@@ -797,11 +811,16 @@ SMALL_GRID = {
 }
 
 
-def test_compare_trees_finds_the_checkout_equal_to_itself(capsys):
+def _compare_trees():
+    """The checkout's root and the names ``scripts/compare_trees.py`` defines."""
     import runpy
 
     root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(mincf.__file__))))
-    script = runpy.run_path(os.path.join(root, "scripts", "compare_trees.py"))
+    return root, runpy.run_path(os.path.join(root, "scripts", "compare_trees.py"))
+
+
+def test_compare_trees_finds_the_checkout_equal_to_itself(capsys):
+    root, script = _compare_trees()
     assert script["compare"](root, root, SMALL_GRID) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[-1] == "16 records, 0 differ"
@@ -812,3 +831,28 @@ def test_compare_trees_finds_the_checkout_equal_to_itself(capsys):
     # A record that differs, or that one side lacks, is marked.
     assert script["report"]({"a": "1", "b": "2"}, {"a": "1", "b": "3", "c": "4"}) == (
         ["= a  1", "! b  parent: 2  change: 3", "! c  parent: (missing)  change: 4"], 2)
+
+
+def test_compare_trees_reads_the_criterion_lines_of_an_acceptance_run():
+    _, script = _compare_trees()
+    output = (
+        "  size weibull  n=20 gamma=0.5: 4.69%\n"
+        "  size frechet  n=50 gamma=  5: 5.24%\n"
+        "\n"
+        "ACCEPTANCE 3 (size calibration): PASS - all 18 sizes in [3.5%, 6.5%]\n"
+        "  criterion 3 runtime: 4s (budget 900s on 8 cores; 2 here)\n"
+        ".  power frechet  vs HN(1)        n=20 gamma=0.5:  83.4% (reference 82%)\n"
+        "  power weibull  vs LN(2.5)      n=50 gamma=  5:  61.8% (reference 65%)\n"
+        "\n"
+        "ACCEPTANCE 4 (power spot checks): PASS - desk scale N=2000, tol +-4pp, 0s\n"
+        "F\n"
+        "3.95s call     tests/test_acceptance.py::test_criterion_3_size_calibration\n"
+        "1 failed, 2 passed, 5 deselected in 6.50s\n"
+    )
+    assert script["parse_criterion_lines"](output) == [
+        ("size weibull n=20 gamma=0.5", "4.69%"),
+        ("size frechet n=50 gamma= 5", "5.24%"),
+        ("power frechet vs HN(1) n=20 gamma=0.5", "83.4% (reference 82%)"),
+        ("power weibull vs LN(2.5) n=50 gamma= 5", "61.8% (reference 65%)"),
+    ]
+    assert "criteria" in script["GRID"] and "criteria" not in SMALL_GRID

@@ -189,14 +189,12 @@ class TestSampling:
         assert x is not u and x.shape == u.shape
 
 
-#: Every law numpy draws value by value, G and LN by rejection included. HN is
-#: the exception: Box-Muller pairs the i-th value of one uniform array with the
-#: i-th of a second, both as long as the whole call.
+#: Every law numpy draws value by value, G and LN by rejection included.
 ROW_BLOCK_LAWS = ["W(1.5,2)", "P(2,1)", "F(2,1)", "G(0.8,1)", "G(2,1)", "LN(1)", "LN(0.5,1.2)",
-                  "LFR(0.5)", "CH(0.8)+1"]
+                  "HN(1)", "LFR(0.5)", "CH(0.8)+1"]
 
 
-@pytest.mark.parametrize("law", [*ALL_FAMILIES, *ROW_BLOCK_LAWS, "HN(1)"], ids=str)
+@pytest.mark.parametrize("law", [*ALL_FAMILIES, *ROW_BLOCK_LAWS], ids=str)
 def test_row_blocks_draw_the_rows_of_one_call(law):
     # One (100, 7) draw against the same generator's (41, 7), (41, 7) and (18, 7)
     # draws stacked; either way the generator ends in the same state.
@@ -209,7 +207,7 @@ def test_row_blocks_draw_the_rows_of_one_call(law):
     one_rng, block_rng = np.random.default_rng(21), np.random.default_rng(21)
     one = draw((100, 7), one_rng)
     blocks = np.concatenate([draw((rows, 7), block_rng) for rows in (41, 41, 18)])
-    assert np.array_equal(one, blocks) == (law != "HN(1)")
+    assert np.array_equal(one, blocks)
     assert one_rng.bit_generator.state == block_rng.bit_generator.state
 
 
@@ -257,8 +255,20 @@ class TestAlternatives:
         member = sample_null(family, ParamPair(c=0.7, phi=2.5), (4, 30), np.random.default_rng(23))
         assert np.array_equal(x, member + 1.0)
 
+    #: Laws drawn by one routine of the generator, bit for bit.
+    ROUTINES = {
+        "HN(2.5)": lambda rng, size: 2.5 * np.abs(rng.standard_normal(size)),
+        "G(3,1.7)": lambda rng, size: rng.gamma(3.0, 1.7, size),
+        "G(0.01,1)": lambda rng, size: rng.gamma(0.01, 1.0, size),
+    }
+
+    @pytest.mark.parametrize("law", ROUTINES)
+    def test_law_is_the_generators_own_routine(self, law):
+        x = sample_alternative(parse_alternative(law), (6, 40), np.random.default_rng(29))
+        assert np.array_equal(x, self.ROUTINES[law](np.random.default_rng(29), (6, 40)))
+
     @pytest.mark.parametrize("text", [
-        "W(1.5,1)+1", "P(2,1)", "G(3,1)", "LN(2.5)", "LN(0,1.2)", "HN(1)",
+        "W(1.5,1)+1", "P(2,1)", "G(3,1)", "LN(2.5)", "LN(0,1.2)", "HN(1)", "HN(2.5)",
         "LFR(0.2)+1", "CH(0.8)+1", "F(2,1)",
     ])
     def test_sampler_matches_cdf(self, text):

@@ -661,6 +661,17 @@ class TestStudy:
             StudyConfig.from_dict({"families": ["weibull"], "alternatives": ["LN(1)"],
                                    "bogus": 1})
 
+    @pytest.mark.parametrize("field, entries", [
+        ("families", ["weibull", "pareto", "Weibull"]),
+        ("alternatives", ["LN(1)", "Gamma(2,1)", "G(2, 1)"]),
+        ("gammas", [1, 0.5, 1.0]),
+        ("sample_sizes", [20, 50, 20]),
+    ])
+    def test_config_repeating_an_entry_names_the_field(self, field, entries):
+        config = {"families": ["weibull"], "alternatives": ["LN(1)"], field: entries}
+        with pytest.raises(ConfigError, match=f"^{field} lists an entry twice"):
+            StudyConfig.from_dict(config)
+
     def test_null_only_study_hits_alpha(self):
         cfg = StudyConfig(
             families=(Family.PARETO,),
